@@ -19,13 +19,12 @@ Two phases over the same DLRM what-if mix (three batch sizes):
   per-request latencies, and every response is checked byte-identical
   to a direct ``predict_e2e`` call *while the pool is under load*.
 
-Throughput, client-side p50/p99 and the deterministic cache counters
-land in ``results/predictor_service.json``.  The wall-clock leaves
-carry the ``measured_*`` prefix — the live-measure band class that
-only rejects order-of-magnitude collapse, because co-tenant noise on
-shared hardware swings a threaded server's tail severalfold even
-best-of-N; the >= 5x floor below is what actually enforces the perf.
-The cache counters are deterministic and banded exactly.
+Only the deterministic facts (workload shape and memo counters) land
+in ``results/predictor_service.json``, banded exactly.  Throughput and
+client-side p50/p99 are printed to stdout: co-tenant noise on shared
+hardware swings a threaded server's tail severalfold even best-of-N,
+so the >= 5x floor below is what enforces the perf, and ``perfbench/``
+tracks the timings.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from benchmarks.assets import (
 )
 from repro.e2e import predict_e2e
 from repro.service import PredictionService, WhatIfRequest
-from repro.serving import BatchingPolicy
+from repro.serving import BatchingPolicy, nearest_rank_us
 
 _GPU = "V100"
 _MODEL = "DLRM_default"
@@ -102,12 +101,6 @@ def _time_cold(registry, overheads, graphs):
                 service.predict(request)
             passes.append(time.perf_counter() - started)
     return min(passes)
-
-
-def _percentile(latencies, fraction):
-    """Nearest-rank percentile of a sorted latency list (seconds)."""
-    rank = min(len(latencies) - 1, int(fraction * len(latencies)))
-    return latencies[rank]
 
 
 def test_service_warm_throughput_floor(benchmark):
@@ -174,7 +167,7 @@ def test_service_warm_throughput_floor(benchmark):
             return elapsed, sorted(latencies)
 
         # Wall-clock tails on a shared machine swing with co-tenant
-        # noise; best-of-N filters the spikes so the banded p50/p99
+        # noise; best-of-N filters the spikes so the reported p50/p99
         # track the server, not the neighbours.
         waves = [load_once() for _ in range(WARM_WAVES)]
         stats = service.stats()
@@ -183,13 +176,13 @@ def test_service_warm_throughput_floor(benchmark):
     total = WARM_CLIENTS * WARM_REQUESTS_PER_CLIENT
     assert all(len(lats) == total for _, lats in waves)
     warm_s, latencies = min(
-        waves, key=lambda wave: _percentile(wave[1], 0.99)
+        waves, key=lambda wave: nearest_rank_us(wave[1], 99.0)
     )
     warm_qps = total / warm_s
     cold_qps = COLD_QUERIES / cold_s
     warm_speedup = warm_qps / cold_qps
-    p50_s = _percentile(latencies, 0.50)
-    p99_s = _percentile(latencies, 0.99)
+    p50_s = nearest_rank_us(latencies, 50.0)
+    p99_s = nearest_rank_us(latencies, 99.0)
 
     # Every warm request hit the memo primed beforehand; the counters
     # are deterministic and banded exactly.
@@ -200,7 +193,7 @@ def test_service_warm_throughput_floor(benchmark):
     # includes the submit/wakeup hop, so allow it on the high side.
     combined = sorted(lat for _, lats in waves for lat in lats)
     histogram_p50_s = stats.latency["p50_us"] / 1e6
-    assert histogram_p50_s <= _percentile(combined, 0.50) * 2.0
+    assert histogram_p50_s <= nearest_rank_us(combined, 50.0) * 2.0
 
     write_result(
         "predictor_service",
@@ -208,22 +201,14 @@ def test_service_warm_throughput_floor(benchmark):
             "gpu": _GPU,
             "model": _MODEL,
             "service_batches": list(SERVICE_BATCHES),
-            "cold": {
-                "queries": COLD_QUERIES,
-                "measured_query_seconds": cold_query_s,
-                "measured_qps": cold_qps,
-            },
+            "cold": {"queries": COLD_QUERIES},
             "warm": {
                 "clients": WARM_CLIENTS,
                 "requests": total,
                 "waves": WARM_WAVES,
-                "measured_qps": warm_qps,
-                "measured_p50_seconds": p50_s,
-                "measured_p99_seconds": p99_s,
                 "memo_hits": stats.memo.hits,
                 "memo_misses": stats.memo.misses,
             },
-            "measured_speedup": warm_speedup,
             "warm_speedup_floor": WARM_SPEEDUP_FLOOR,
         },
     )
@@ -231,6 +216,7 @@ def test_service_warm_throughput_floor(benchmark):
         f"\n{total} warm requests from {WARM_CLIENTS} clients: "
         f"{warm_qps:,.0f} qps (p50 {p50_s * 1e6:.0f} us, "
         f"p99 {p99_s * 1e6:.0f} us) vs cold {cold_qps:.1f} qps "
+        f"({cold_query_s * 1e3:.1f} ms/query) "
         f"-> {warm_speedup:.0f}x"
     )
 

@@ -39,6 +39,7 @@ DEFAULT_MARKDOWN = (
     "docs/REGRESSION.md",
     "docs/SERVICE.md",
     "docs/SERVING.md",
+    "docs/SWEEPS.md",
     "docs/TOPOLOGIES.md",
     EXAMPLES_GALLERY,
 )

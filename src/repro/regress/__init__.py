@@ -2,11 +2,11 @@
 
 Every results artifact the benchmark harness regenerates gets a
 committed reference band per metric leaf (``results/bands.json``):
-absolute bands for error metrics, relative bands for wall-clock and
-speedup metrics, exact-match for counts and labels.  ``repro regress``
-checks the committed (or freshly regenerated) results against those
-bands and fails on silent accuracy or speed drift — goldens for
-*performance*, not just values.  Entry points:
+absolute bands for error metrics, relative bands for simulated
+latencies, exact-match for counts and labels.  Every leaf is a
+deterministic function of the code (wall-clock timings live in
+``perfbench/``), so ``repro regress`` fails on any silent drift of the
+committed or regenerated results.  Entry points:
 
 * :func:`check_results` — library API used by the CLI, CI, and tests;
 * :func:`build_bands` — the ``--update-bands`` regeneration workflow;

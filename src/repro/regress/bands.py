@@ -3,8 +3,8 @@
 ``results/bands.json`` pins one :class:`~repro.regress.policy.Band`
 per metric leaf per results file.  It is regenerated — never edited by
 hand — with ``repro regress --update-bands`` (mirroring the goldens'
-``--update-goldens`` workflow), so an intentional accuracy or speed
-shift lands as a reviewable band diff while silent drift fails CI.
+``--update-goldens`` workflow), so an intentional accuracy shift
+lands as a reviewable band diff while silent drift fails CI.
 """
 
 from __future__ import annotations

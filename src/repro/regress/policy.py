@@ -7,16 +7,8 @@ serve them all:
   share fractions) are small numbers near zero; relative tolerance on
   them is meaningless (a band around 0.001 would admit nothing), so
   they get **absolute** bands.
-* **Wall-clock and speedup metrics** (``*_seconds``, ``speedup``,
-  ``iteration_ms``, ``p99_us``) scale with machine and workload, so
-  they get **relative** bands — looser for raw wall-clock, tighter for
-  ratios the benchmarks already floor.
-* **Live measurements** (``measured_*``) are wall-clock readings of a
-  *running concurrent server* (load-test throughput, client-side tail
-  percentiles), where co-tenant noise on shared hardware swings the
-  tail severalfold run to run; their band only rejects
-  order-of-magnitude collapse, and the owning benchmark's in-test
-  floors (e.g. warm throughput >= 5x cold) enforce actual performance.
+* **Simulated latencies** (``iteration_ms``, ``*_us``, ``*_ms``) scale
+  with the modelled workload, so they get **relative** bands.
 * **Counts and labels** (``points``, ``pruned``, ``reused``,
   bottleneck strings, booleans) are structural facts; any change is a
   schema change, so they get **exact** bands.
@@ -164,29 +156,8 @@ class TolerancePolicy:
         return Band(kind=KIND_EXACT, value=value, policy=self.name)
 
 
-#: Built-in tolerance classes, most specific first.  Raw wall-clock
-#: seconds swing with the machine, so their band is loose; speedups are
-#: ratios the benchmarks also floor, so their band must stay tight
-#: enough that a halving always escapes it.
+#: Built-in tolerance classes, most specific first.
 DEFAULT_POLICIES = (
-    TolerancePolicy(
-        name="live-measure",
-        kind=KIND_RELATIVE,
-        patterns=("measured_*",),
-        rtol=4.0,
-    ),
-    TolerancePolicy(
-        name="wall-clock",
-        kind=KIND_RELATIVE,
-        patterns=("*_seconds",),
-        rtol=0.80,
-    ),
-    TolerancePolicy(
-        name="speedup",
-        kind=KIND_RELATIVE,
-        patterns=("speedup", "*_speedup"),
-        rtol=0.40,
-    ),
     TolerancePolicy(
         name="latency",
         kind=KIND_RELATIVE,

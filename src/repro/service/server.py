@@ -325,6 +325,15 @@ class PredictionService:
         return fp
 
     def _execute(self, batch: list[_Pending]) -> None:
+        """Run one micro-batch; an escape fails its unresolved futures."""
+        try:
+            self._execute_batch(batch)
+        except BaseException as err:  # the pool would discard it
+            for pending in batch:
+                if not pending.future.done():
+                    self._complete(pending, err)
+
+    def _execute_batch(self, batch: list[_Pending]) -> None:
         """Run one sealed micro-batch end to end."""
         # Per-request resolution + canonicalization + memo lookup.
         misses: list[dict] = []
@@ -395,7 +404,8 @@ class PredictionService:
         All prediction-kind requests sharing a registry are priced
         through one concatenated ``predict_many`` call — the
         micro-batching that amortizes cache lookups and model dispatch
-        across concurrent clients.
+        across concurrent clients.  A raising call fails only the
+        misses of its registry group.
         """
         by_gpu: dict[str, list[dict]] = {}
         for miss in misses:
@@ -414,12 +424,20 @@ class PredictionService:
                     (len(kernels), len(kernels) + len(plan_kernels_flat))
                 )
                 kernels.extend(plan_kernels_flat)
-            times = registry.predict_many(kernels)
+            try:
+                times = registry.predict_many(kernels)
+            except BaseException as err:
+                for miss in gpu_misses:
+                    miss["fault"] = err
+                continue
             for miss, (start, stop) in zip(gpu_misses, spans):
                 miss["times"] = times[start:stop]
 
         for miss in misses:
             pending = miss["pending"]
+            if "fault" in miss:
+                done.append((pending, miss["fault"]))
+                continue
             request = pending.request
             try:
                 tags: tuple[str, ...]

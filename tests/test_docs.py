@@ -10,6 +10,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from tools.check_docs import (  # noqa: E402
+    DEFAULT_MARKDOWN,
+    REPO_ROOT,
     check_docstrings,
     check_examples_gallery,
     check_markdown_links,
@@ -20,6 +22,13 @@ from tools.check_docs import (  # noqa: E402
 class TestMarkdownLinks:
     def test_repo_markdown_links_resolve(self):
         assert check_markdown_links() == []
+
+    def test_every_docs_page_is_link_checked(self):
+        pages = {
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "docs").glob("*.md")
+        }
+        assert pages - set(DEFAULT_MARKDOWN) == set()
 
     def test_broken_links_are_reported(self, tmp_path):
         (tmp_path / "doc.md").write_text("see [x](missing.md)")

@@ -602,6 +602,98 @@ class TestServiceInvalidation:
                     WhatIfRequest(graph=dlrm_graph, overheads="shared")
                 )
 
+    def _fault_batch(self, registries, overhead_db, dlrm_graph, faulty):
+        """One sealed micro-batch: a request routed to the ``faulty``
+        registry, a valid predict and a memory request alongside it.
+
+        Returns the three futures, each resolved within the timeout.
+        """
+        with PredictionService(
+            registries=registries,
+            overhead_dbs={"individual": overhead_db},
+            batching=BatchingPolicy(max_batch=3, timeout_us=5e6),
+        ) as service:
+            futures = [
+                service.submit(WhatIfRequest(graph=dlrm_graph, gpu=faulty)),
+                service.submit(WhatIfRequest(graph=dlrm_graph, gpu="V100")),
+                service.submit(
+                    WhatIfRequest(graph=dlrm_graph, kind=REQUEST_MEMORY)
+                ),
+            ]
+            for future in futures:
+                future.exception(timeout=10)
+            assert service.stats().batches_dispatched == 1
+        return futures
+
+    def _assert_neighbours_answered(
+        self, futures, registry, overhead_db, dlrm_graph
+    ):
+        direct = predict_e2e(dlrm_graph, registry, overhead_db)
+        assert futures[1].result().prediction.to_dict() == direct.to_dict()
+        assert futures[2].result().memory.to_dict() == (
+            predict_memory(dlrm_graph).to_dict()
+        )
+
+    def test_unregistered_kernel_type_fails_only_its_requests(
+        self, registry, overhead_db, dlrm_graph
+    ):
+        futures = self._fault_batch(
+            {"V100": registry, "empty": PerfModelRegistry()},
+            overhead_db,
+            dlrm_graph,
+            faulty="empty",
+        )
+        with pytest.raises(KeyError, match="no performance model"):
+            futures[0].result()
+        self._assert_neighbours_answered(
+            futures, registry, overhead_db, dlrm_graph
+        )
+
+    def test_raising_predict_batch_fails_only_its_requests(
+        self, registry, overhead_db, dlrm_graph
+    ):
+        class _Exploding(_AffineGemm):
+            def predict_batch(self, params):
+                raise RuntimeError("gemm model exploded")
+
+        broken = PerfModelRegistry()
+        for kernel_type in registry.kernel_types:
+            broken.register(registry.model_for(kernel_type))
+        broken.register(_Exploding(base=1.0))
+        futures = self._fault_batch(
+            {"V100": registry, "broken": broken},
+            overhead_db,
+            dlrm_graph,
+            faulty="broken",
+        )
+        with pytest.raises(RuntimeError, match="exploded"):
+            futures[0].result()
+        self._assert_neighbours_answered(
+            futures, registry, overhead_db, dlrm_graph
+        )
+
+    def test_escape_from_a_batch_fails_every_unresolved_future(
+        self, registry, overhead_db, dlrm_graph, monkeypatch
+    ):
+        def crash(self, misses, done):
+            raise RuntimeError("batch crashed")
+
+        monkeypatch.setattr(PredictionService, "_predict_misses", crash)
+        with PredictionService(
+            registries={"V100": registry},
+            overhead_dbs={"individual": overhead_db},
+            batching=BatchingPolicy(max_batch=2, timeout_us=5e6),
+        ) as service:
+            futures = [
+                service.submit(WhatIfRequest(graph=dlrm_graph)),
+                service.submit(
+                    WhatIfRequest(graph=dlrm_graph, kind=REQUEST_MEMORY)
+                ),
+            ]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="batch crashed"):
+                    future.result(timeout=10)
+
     def test_close_drains_then_rejects(
         self, registry, overhead_db, dlrm_graph
     ):
