@@ -9,11 +9,14 @@ traverses it in recorded order; co-design transforms rewrite it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.graph.node import Node
 from repro.ops import Op
 from repro.tensormeta import TensorMeta
+
+
+T = TypeVar("T")
 
 
 class GraphError(ValueError):
@@ -29,12 +32,43 @@ class ExecutionGraph:
     """
 
     def __init__(self, name: str = "graph") -> None:
-        self.name = name
+        self._name = name
         self._nodes: list[Node] = []
         self._tensors: dict[int, TensorMeta] = {}
         self._producer: dict[int, int] = {}  # tensor id -> node id
         self._next_tensor_id = 0
         self._next_node_id = 0
+        # Values derived from the current graph state (see derived()).
+        self._derived: dict[str, object] = {}
+
+    @property
+    def name(self) -> str:
+        """Graph name (part of the serialized structure)."""
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        """Rename the graph; drops every derived value."""
+        self._name = value
+        self._derived = {}
+
+    def derived(self, key: str, compute: Callable[["ExecutionGraph"], T]) -> T:
+        """``compute(self)``, computed once per graph state.
+
+        Hot request paths (the prediction service's content keys) ask
+        for the same graph's plan and digests on every call; like
+        :meth:`~repro.ops.Op.cached_kernel_calls`, this caches them on
+        the object.  :meth:`add_tensor`, :meth:`add_node` and a rename
+        drop every cached value.  The memo is swapped rather than
+        cleared, so a value computed while the graph changed lands in
+        the discarded memo, never the live one.
+        """
+        memo = self._derived
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = compute(self)
+            return value
 
     # ------------------------------------------------------------------
     # Construction
@@ -44,6 +78,7 @@ class ExecutionGraph:
         tid = self._next_tensor_id
         self._next_tensor_id += 1
         self._tensors[tid] = meta
+        self._derived = {}
         return tid
 
     def add_node(
@@ -85,6 +120,7 @@ class ExecutionGraph:
             # appear to depend on this later write.
             if tid not in input_ids:
                 self._producer.setdefault(tid, node.node_id)
+        self._derived = {}
         return node
 
     # ------------------------------------------------------------------

@@ -17,7 +17,9 @@ inputs each request kind consumes:
 
 Everything is ``hashlib``-based and key-sorted, so keys are stable
 across processes and ``PYTHONHASHSEED`` values — the property that
-lets the memo tier and persisted snapshots survive restarts.
+lets the memo tier and persisted snapshots survive restarts.  The
+graph-derived halves (plan, plan digest, structural digest) are cached
+on the graph object and dropped when it is mutated.
 """
 
 from __future__ import annotations
@@ -39,14 +41,41 @@ from repro.sweep import plan_digest
 #: fingerprint width; 64 bits of collision resistance).
 KEY_WIDTH = 16
 
+#: Graph-memo keys (:meth:`~repro.graph.ExecutionGraph.derived`) of the
+#: per-graph values below.
+_PLAN = "service.plan"
+_PLAN_DIGEST = "service.plan_digest"
+_GRAPH_KEY = "service.graph_key"
+
+
+def plan_and_types(graph: ExecutionGraph) -> tuple[list, tuple[str, ...]]:
+    """A graph's :func:`~repro.e2e.collect_plan` rows and the sorted
+    kernel types they dispatch, computed once per graph state."""
+    return graph.derived(_PLAN, _plan_and_types)
+
+
+def _plan_and_types(graph: ExecutionGraph) -> tuple[list, tuple[str, ...]]:
+    plan = collect_plan(graph)
+    types = tuple(sorted({k.kernel_type for _, _, ks in plan for k in ks}))
+    return plan, types
+
+
+def _plan_digest(graph: ExecutionGraph) -> bytes:
+    return plan_digest(plan_and_types(graph)[0])
+
 
 def graph_key(graph: ExecutionGraph) -> str:
     """Full structural content digest of a graph.
 
     Hashes the canonical JSON serialization (key-sorted), covering op
     classes, tensor signatures and attributes — everything the memory
-    predictor's liveness analysis can observe.
+    predictor's liveness analysis can observe.  Computed once per
+    graph state.
     """
+    return graph.derived(_GRAPH_KEY, _graph_key)
+
+
+def _graph_key(graph: ExecutionGraph) -> str:
     payload = json.dumps(
         graph_to_dict(graph), sort_keys=True, separators=(",", ":")
     )
@@ -60,11 +89,12 @@ def request_key(
     t4_us: float | None = DEFAULT_T4_US,
     kernel_gap_us: float = KERNEL_GAP_US,
     sync_h2d: bool = False,
-    plan: list | None = None,
-    row_cache: dict | None = None,
-    kernel_cache: dict | None = None,
 ) -> str:
     """Canonical content key of one request.
+
+    The graph's plan and structural digests are cached on the graph
+    (:meth:`~repro.graph.ExecutionGraph.derived`), so a repeat request
+    for the same graph object hashes only a few short strings.
 
     Args:
         request: The what-if request to canonicalize.
@@ -77,11 +107,6 @@ def request_key(
         t4_us: Traversal knob — flat CUDA-runtime-call cost.
         kernel_gap_us: Traversal knob — inter-kernel device gap.
         sync_h2d: Traversal knob — synchronous pageable H2D copies.
-        plan: Precomputed :func:`~repro.e2e.collect_plan` rows (the
-            server computes them once per request and reuses them for
-            the traversal); derived from the graph when omitted.
-        row_cache: Optional plan-row digest memo shared across calls.
-        kernel_cache: Optional kernel digest memo shared across calls.
 
     Returns:
         A :data:`KEY_WIDTH`-hex-char content key.
@@ -92,9 +117,7 @@ def request_key(
         digest.update(graph_key(request.graph).encode())
         digest.update(request.optimizer.encode())
         return digest.hexdigest()[:KEY_WIDTH]
-    if plan is None:
-        plan = collect_plan(request.graph)
-    digest.update(plan_digest(plan, row_cache, kernel_cache))
+    digest.update(request.graph.derived(_PLAN_DIGEST, _plan_digest))
     digest.update(registry_fp.encode())
     if request.kind != REQUEST_KERNEL_ONLY:
         digest.update(db_fp.encode())

@@ -37,7 +37,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Mapping
 
 from repro.e2e.memory import predict_memory
-from repro.e2e.predictor import (
+# collect_plan is unused since plans come from the graph memo, but it
+# stays bound: perfbench's traced run wraps this module's names.
+from repro.e2e.predictor import (  # noqa: F401
     DEFAULT_T4_US,
     KERNEL_GAP_US,
     collect_plan,
@@ -45,7 +47,7 @@ from repro.e2e.predictor import (
 )
 from repro.overheads import OverheadDatabase
 from repro.perfmodels import PerfModelRegistry
-from repro.service.canonical import request_key
+from repro.service.canonical import plan_and_types, request_key
 from repro.service.memo import DEFAULT_MEMO_ENTRIES, GraphMemoCache
 from repro.service.request import (
     REQUEST_KERNEL_ONLY,
@@ -65,6 +67,16 @@ DEFAULT_WORKERS = 4
 #: colliding in the memo tier's invalidation index.
 _GPU_TAG = "gpu:"
 _DB_TAG = "db:"
+
+
+def _memo_tags(kind: str, gpu: str, db_label: str) -> tuple[str, ...]:
+    """Asset tags of a request kind's answer: the labels it was priced
+    with, so re-registering one invalidates exactly its answers."""
+    if kind == REQUEST_PREDICT:
+        return (_GPU_TAG + gpu, _DB_TAG + db_label)
+    if kind == REQUEST_KERNEL_ONLY:
+        return (_GPU_TAG + gpu,)
+    return ()
 
 
 class _Pending:
@@ -241,43 +253,59 @@ class PredictionService:
         Single-threaded, so seal decisions are totally ordered — the
         role the simulator's seal epoch plays across its event queue.
         """
-        policy = self._batching
-        while True:
-            with self._cond:
-                while not self._pending and not self._closed:
-                    self._cond.wait()
-                if not self._pending:
+        batch: list[_Pending] = []
+        try:
+            while True:
+                batch = self._seal()
+                if not batch:
                     return  # closed and drained
-                if policy.batched:
-                    deadline = (
-                        self._pending[0].enqueued_at
-                        + policy.timeout_us / 1e6
-                    )
-                    while (
-                        len(self._pending) < policy.max_batch
-                        and not self._closed
-                    ):
-                        remaining = deadline - time.perf_counter()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
-                take = policy.max_batch if policy.batched else 1
-                batch = [
-                    self._pending.popleft()
-                    for _ in range(min(take, len(self._pending)))
-                ]
-            with self._metrics_lock:
-                self._batches_dispatched += 1
-                if len(batch) > self._peak_batch:
-                    self._peak_batch = len(batch)
-            self._pool.submit(self._execute, batch)
+                with self._metrics_lock:
+                    self._batches_dispatched += 1
+                    if len(batch) > self._peak_batch:
+                        self._peak_batch = len(batch)
+                self._pool.submit(self._execute, batch)
+                batch = []  # the pool owns it now
+        except BaseException as err:
+            # A dead dispatcher would strand every queued future: close
+            # the service and fail them (and the batch in hand) instead.
+            with self._cond:
+                self._closed = True
+                batch.extend(self._pending)
+                self._pending.clear()
+            for pending in batch:
+                self._complete(pending, err)
+
+    def _seal(self) -> list[_Pending]:
+        """Wait for and pop the next micro-batch; empty once closed
+        and drained."""
+        policy = self._batching
+        with self._cond:
+            while not self._pending and not self._closed:
+                self._cond.wait()
+            if not self._pending:
+                return []
+            if policy.batched:
+                deadline = (
+                    self._pending[0].enqueued_at + policy.timeout_us / 1e6
+                )
+                while (
+                    len(self._pending) < policy.max_batch
+                    and not self._closed
+                ):
+                    remaining = deadline - time.perf_counter()
+                    if remaining <= 0:
+                        break
+                    self._cond.wait(remaining)
+            take = policy.max_batch if policy.batched else 1
+            return [
+                self._pending.popleft()
+                for _ in range(min(take, len(self._pending)))
+            ]
 
     def _resolve(
-        self, request: WhatIfRequest
-    ) -> tuple[str, str, PerfModelRegistry, OverheadDatabase]:
+        self, gpu: str, db_label: str
+    ) -> tuple[PerfModelRegistry, OverheadDatabase]:
         """Resolve a request's asset labels to the resident assets."""
-        gpu = request.gpu or self._default_gpu
-        db_label = request.overheads or self._default_overheads
         with self._assets_lock:
             try:
                 registry = self._registries[gpu]
@@ -293,7 +321,7 @@ class PredictionService:
                 raise KeyError(
                     f"no resident overhead DB {db_label!r}; known: {known}"
                 ) from None
-        return gpu, db_label, registry, overheads
+        return registry, overheads
 
     def _registry_fp(
         self,
@@ -338,21 +366,22 @@ class PredictionService:
         # Per-request resolution + canonicalization + memo lookup.
         misses: list[dict] = []
         done: list[tuple[_Pending, WhatIfResponse | BaseException]] = []
-        row_cache: dict = {}
-        kernel_cache: dict = {}
         for pending in batch:
             request = pending.request
             try:
-                gpu, db_label, registry, overheads = self._resolve(request)
+                gpu = request.gpu or self._default_gpu
+                db_label = request.overheads or self._default_overheads
+                tags = _memo_tags(request.kind, gpu, db_label)
+                # Snapshot before resolving: an asset re-registered from
+                # here on turns this answer's memo insert into a no-op.
+                epochs = self._memo.epochs(tags)
+                registry, overheads = self._resolve(gpu, db_label)
                 if request.kind == REQUEST_MEMORY:
                     plan = None
                     registry_fp = ""
                     db_fp = ""
                 else:
-                    plan = collect_plan(request.graph)
-                    types = tuple(
-                        sorted({k.kernel_type for _, _, ks in plan for k in ks})
-                    )
+                    plan, types = plan_and_types(request.graph)
                     registry_fp = self._registry_fp(gpu, registry, types)
                     db_fp = (
                         self._db_fp(db_label, overheads)
@@ -366,9 +395,6 @@ class PredictionService:
                     t4_us=self._t4_us,
                     kernel_gap_us=self._kernel_gap_us,
                     sync_h2d=self._sync_h2d,
-                    plan=plan,
-                    row_cache=row_cache,
-                    kernel_cache=kernel_cache,
                 )
                 hit = self._memo.get(key)
                 if hit is not None:
@@ -381,10 +407,11 @@ class PredictionService:
                         "pending": pending,
                         "key": key,
                         "gpu": gpu,
-                        "db_label": db_label,
                         "registry": registry,
                         "overheads": overheads,
                         "plan": plan,
+                        "tags": tags,
+                        "epochs": epochs,
                     }
                 )
             except BaseException as err:  # resolution/canonicalization
@@ -440,7 +467,6 @@ class PredictionService:
                 continue
             request = pending.request
             try:
-                tags: tuple[str, ...]
                 if request.kind == REQUEST_PREDICT:
                     payload = traverse_plan(
                         miss["plan"],
@@ -450,25 +476,20 @@ class PredictionService:
                         kernel_gap_us=self._kernel_gap_us,
                         sync_h2d=self._sync_h2d,
                     )
-                    tags = (
-                        _GPU_TAG + miss["gpu"],
-                        _DB_TAG + miss["db_label"],
-                    )
                 elif request.kind == REQUEST_KERNEL_ONLY:
                     total_us = 0.0
                     for t in miss["times"]:
                         total_us += float(t)
                     payload = total_us
-                    tags = (_GPU_TAG + miss["gpu"],)
                 elif request.kind == REQUEST_MEMORY:
                     payload = predict_memory(
                         request.graph, optimizer=request.optimizer
                     )
-                    tags = ()
                 else:  # pragma: no cover - __post_init__ rejects these
                     raise ValueError(f"unknown request kind {request.kind!r}")
-                epochs = self._memo.epochs(tags)
-                self._memo.put(miss["key"], payload, tags, epochs)
+                self._memo.put(
+                    miss["key"], payload, miss["tags"], miss["epochs"]
+                )
                 done.append(
                     (
                         pending,
@@ -543,10 +564,12 @@ class PredictionService:
         return self._memo.info()
 
     def close(self) -> None:
-        """Drain the queue, stop the dispatcher, shut the pool down."""
+        """Drain the queue, stop the dispatcher, shut the pool down.
+
+        Idempotent, and also shuts down a service whose dispatcher
+        already closed it on a crash.
+        """
         with self._cond:
-            if self._closed:
-                return
             self._closed = True
             self._cond.notify_all()
         self._dispatcher.join()

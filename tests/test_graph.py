@@ -39,6 +39,37 @@ class TestConstruction:
         assert g.op_name_counts()["aten::relu"] == 1
 
 
+class TestDerivedMemo:
+    def test_value_is_computed_once_per_graph_state(self):
+        g, _ = small_graph()
+        calls = []
+
+        def count_nodes(graph):
+            calls.append(1)
+            return len(graph)
+
+        assert g.derived("n", count_nodes) == 3
+        assert g.derived("n", count_nodes) == 3
+        assert len(calls) == 1
+
+    def test_mutation_and_rename_drop_cached_values(self):
+        g, (_, _, _, z) = small_graph()
+        assert g.derived("n", len) == 3
+        g.add_node(Relu((8, 2)), [z])
+        assert g.derived("n", len) == 4
+        assert g.derived("name", lambda graph: graph.name) == "t"
+        g.name = "renamed"
+        assert g.derived("name", lambda graph: graph.name) == "renamed"
+        g.add_tensor(TensorMeta((1,)))
+        assert g.derived("n", lambda graph: -1) == -1
+
+    def test_rewritten_graph_starts_empty(self):
+        g, _ = small_graph()
+        assert g.derived("n", len) == 3
+        trimmed = g.replace_nodes(list(g.nodes)[:2])
+        assert trimmed.derived("n", len) == 2
+
+
 class TestDependencies:
     def test_producer_tracking(self):
         g, (x, xg, y, z) = small_graph()

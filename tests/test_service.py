@@ -22,6 +22,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from repro.service import (
     ServiceStats,
     WhatIfRequest,
     WhatIfResponse,
+    canonical,
     graph_key,
     render_stats,
     request_key,
@@ -197,6 +199,66 @@ class TestCanonicalKeys:
             WhatIfRequest(graph=dlrm_graph, kind="explain")
         with pytest.raises(ValueError, match="unknown optimizer"):
             WhatIfRequest(graph=dlrm_graph, optimizer="lion")
+
+
+class TestKeysCachedOnTheGraph:
+    """Keys are derived once per graph object and dropped on mutation."""
+
+    def test_warm_keys_need_no_plan_or_serialization(self, monkeypatch):
+        graph = build_model("DLRM_default", 64)
+        requests = [WhatIfRequest(graph=graph, kind=kind)
+                    for kind in REQUEST_KINDS]
+        warm = [request_key(r, registry_fp="R", db_fp="D") for r in requests]
+        warm_graph = graph_key(graph)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm key re-derived its graph")
+
+        monkeypatch.setattr(canonical, "collect_plan", refuse)
+        monkeypatch.setattr(canonical, "graph_to_dict", refuse)
+        assert [
+            request_key(r, registry_fp="R", db_fp="D") for r in requests
+        ] == warm
+        assert graph_key(graph) == warm_graph
+        # A different graph object still derives its own keys.
+        with pytest.raises(AssertionError, match="re-derived"):
+            graph_key(build_model("DLRM_default", 64))
+
+    def test_mutated_graph_gets_a_new_key_and_a_fresh_answer(
+        self, registry, overhead_db
+    ):
+        graph = build_model("DLRM_default", 256)
+        with PredictionService(
+            registries={"V100": registry},
+            overhead_dbs={"individual": overhead_db},
+        ) as service:
+            before = service.predict(WhatIfRequest(graph=graph))
+            assert service.predict(WhatIfRequest(graph=graph)).cached
+            last = graph.nodes[-1]
+            graph.add_node(last.op, last.input_ids, stream=last.stream)
+            after = service.predict(WhatIfRequest(graph=graph))
+        assert after.key != before.key
+        assert after.cached is False
+        assert after.prediction.to_dict() == (
+            predict_e2e(graph, registry, overhead_db).to_dict()
+        )
+        assert after.prediction.total_us != before.prediction.total_us
+
+    def test_renamed_graph_gets_a_new_memory_key(self, registry, overhead_db):
+        graph = build_model("DLRM_default", 256)
+        request = WhatIfRequest(graph=graph, kind=REQUEST_MEMORY)
+        with PredictionService(
+            registries={"V100": registry},
+            overhead_dbs={"individual": overhead_db},
+        ) as service:
+            before = service.predict(request)
+            old_graph_key = graph_key(graph)
+            graph.name = "renamed"
+            after = service.predict(request)
+        assert graph_key(graph) != old_graph_key
+        assert after.key != before.key
+        assert after.cached is False
+        assert after.memory == predict_memory(graph)
 
 
 #: Fresh-interpreter probe: every canonical key for a small DLRM graph,
@@ -710,6 +772,124 @@ class TestServiceInvalidation:
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(WhatIfRequest(graph=dlrm_graph))
         service.close()  # idempotent
+
+    def test_dispatcher_crash_fails_queued_futures_and_closes(
+        self, registry, overhead_db, dlrm_graph
+    ):
+        service = PredictionService(
+            registries={"V100": registry},
+            overhead_dbs={"individual": overhead_db},
+            batching=BatchingPolicy(max_batch=1, timeout_us=0.0),
+        )
+        entered = threading.Event()
+        release = threading.Event()
+
+        def refuse(*args, **kwargs):
+            entered.set()
+            release.wait(10)
+            raise RuntimeError("pool refused the batch")
+
+        service._pool.submit = refuse
+        futures = [service.submit(WhatIfRequest(graph=dlrm_graph))]
+        assert entered.wait(10)
+        # Queued behind the batch the dispatcher is failing to hand off.
+        futures += [
+            service.submit(WhatIfRequest(graph=dlrm_graph)) for _ in range(2)
+        ]
+        release.set()
+        for future in futures:
+            with pytest.raises(RuntimeError, match="refused"):
+                future.result(timeout=3)
+        with pytest.raises(RuntimeError, match="closed"):
+            service.submit(WhatIfRequest(graph=dlrm_graph))
+        service.close()
+        assert not service._dispatcher.is_alive()
+
+    def test_close_under_load_resolves_every_accepted_future(
+        self, registry, overhead_db, dlrm_graph
+    ):
+        service = PredictionService(
+            registries={"V100": registry},
+            overhead_dbs={"individual": overhead_db},
+            batching=BatchingPolicy(max_batch=4, timeout_us=1000.0),
+        )
+        clients = 4
+        accepted: list = []
+        rejected: list[BaseException] = []
+        lock = threading.Lock()
+        barrier = threading.Barrier(clients + 1)
+
+        def client() -> None:
+            barrier.wait()
+            while True:
+                try:
+                    future = service.submit(WhatIfRequest(graph=dlrm_graph))
+                except RuntimeError as err:
+                    with lock:
+                        rejected.append(err)
+                    return
+                with lock:
+                    accepted.append(future)
+
+        threads = [threading.Thread(target=client) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        barrier.wait()
+        # Close mid-stream, once the clients are submitting.
+        deadline = time.monotonic() + 10
+        while len(accepted) < 10 * clients and time.monotonic() < deadline:
+            time.sleep(0.001)
+        service.close()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+        assert len(rejected) == clients
+        assert all("closed" in str(err) for err in rejected)
+        direct = predict_e2e(dlrm_graph, registry, overhead_db).to_dict()
+        for future in accepted:
+            assert future.result(timeout=10).prediction.to_dict() == direct
+
+    def test_reregistering_a_registry_mid_batch_memoizes_nothing_stale(
+        self, registry, overhead_db, dlrm_graph
+    ):
+        entered = threading.Event()
+        release = threading.Event()
+        real_gemm = registry.model_for(KernelType.GEMM)
+
+        class _GatedDoubleGemm(KernelPerfModel):
+            """The real GEMM model at twice the time, held at a gate."""
+
+            kernel_type = KernelType.GEMM
+
+            def predict_us(self, params):
+                entered.set()
+                release.wait(10)
+                return 2.0 * real_gemm.predict_us(params)
+
+        old = PerfModelRegistry()
+        for kernel_type in registry.kernel_types:
+            old.register(registry.model_for(kernel_type))
+        old.register(_GatedDoubleGemm())
+        direct = predict_e2e(dlrm_graph, registry, overhead_db).to_dict()
+
+        with PredictionService(
+            registries={"V100": old},
+            overhead_dbs={"individual": overhead_db},
+        ) as service:
+            in_flight = service.submit(WhatIfRequest(graph=dlrm_graph))
+            assert entered.wait(10)
+            # The batch is pricing with the old registry; swap it.
+            service.register_registry("V100", registry)
+            release.set()
+            stale = in_flight.result(timeout=10)
+            assert stale.prediction.to_dict() != direct
+            assert service.memo_info().size == 0
+            fresh = service.predict(WhatIfRequest(graph=dlrm_graph))
+            repeat = service.predict(WhatIfRequest(graph=dlrm_graph))
+        assert fresh.cached is False
+        assert fresh.prediction.to_dict() == direct
+        assert repeat.cached is True
 
     def test_validation_of_constructor_arguments(self, registry, overhead_db):
         with pytest.raises(ValueError, match="at least one registry"):

@@ -2,8 +2,8 @@
 
 The real checks now live in the analyzer (``repro lint`` runs them as
 the ``doc-link`` / ``doc-docstring`` / ``doc-example-gallery`` rules);
-this script keeps the historical standalone entry point and import
-surface (CI's docs job, ``tests/test_docs.py``) working unchanged.
+this script keeps the historical standalone entry point and the
+import surface ``tests/test_docs.py`` uses.
 
 Usage::
 
