@@ -34,7 +34,7 @@ from repro.capacity.slo import (
 from repro.models import MODE_INFERENCE
 from repro.models.dlrm import DlrmConfig, build_dlrm_graph
 from repro.multigpu.interconnect import NVLINK, InterconnectSpec
-from repro.multigpu.plan import build_multi_gpu_dlrm_plan
+from repro.multigpu.plan import MultiGpuPlan, build_multi_gpu_dlrm_plan
 from repro.multigpu.schedule import OVERLAP_POLICIES
 from repro.multigpu.topology import ETHERNET_100G, Topology
 from repro.serving.arrivals import ARRIVAL_POISSON, ArrivalSpec
@@ -438,37 +438,22 @@ class CapacityPlanner:
 
         plans: list[CapacityPlan] = []
         self.last_prune_stats = {"pruned": 0, "evaluated": 0}
-        single = [
-            f for f in fleets if f.gpus_per_replica == 1 and f.nodes == 1
-        ]
-        sharded = [
-            f for f in fleets if f.gpus_per_replica > 1 and f.nodes == 1
-        ]
-        multinode = [f for f in fleets if f.nodes > 1]
+        single = [f for f in fleets if f.gpus_per_replica == 1]
+        sharded = [f for f in fleets if f.gpus_per_replica > 1]
         if single:
             plans.extend(
                 self._plan_single_gpu(config, batch_sizes, single, prune)
             )
+        if any(f.nodes == 1 for f in sharded) and collective_model_for is None:
+            raise ValueError("multi-GPU replicas need collective_model_for")
+        if any(f.nodes > 1 for f in sharded) and topology_model_for is None:
+            raise ValueError("multi-node replicas need topology_model_for")
         if sharded:
-            if collective_model_for is None:
-                raise ValueError(
-                    "multi-GPU replicas need collective_model_for"
-                )
             plans.extend(
-                self._plan_sharded(
+                self._plan_multi_gpu(
                     config, batch_sizes, sharded, collective_model_for,
-                    shardings, overlap_policies,
-                )
-            )
-        if multinode:
-            if topology_model_for is None:
-                raise ValueError(
-                    "multi-node replicas need topology_model_for"
-                )
-            plans.extend(
-                self._plan_multinode(
-                    config, batch_sizes, multinode, topology_model_for,
-                    shardings, overlap_policies, intra_fabric, inter_fabric,
+                    topology_model_for, shardings, overlap_policies,
+                    intra_fabric, inter_fabric,
                 )
             )
         ranked = rank_plans(plans)
@@ -605,140 +590,99 @@ class CapacityPlanner:
                 )
         return plans
 
-    def _evaluate_shape(
-        self,
-        config: DlrmConfig,
-        batch_sizes: Sequence[int],
-        shape_fleets: Sequence[CandidateFleet],
-        devices: int,
-        collective_model_for: Callable[..., object],
-        shardings: Mapping[str, list[list[int]] | None],
-        policy: str,
-        topology: Topology | None = None,
-    ) -> list[CapacityPlan]:
-        """One (overlap policy, replica shape) sweep — flat or multi-node.
-
-        Builds the forward-only plans for every divisible batch ×
-        sharding, runs them through ``run_multi_gpu`` (on the topology
-        axis when ``topology`` is given), and sizes replica counts for
-        each fleet selling this shape.  Shared by :meth:`_plan_sharded`
-        and :meth:`_plan_multinode` so the plan-key format, the batch
-        divisibility filter and the record parsing cannot diverge.
-        """
-        mg_plans = {}
-        for batch in sorted(set(batch_sizes)):
-            if batch % devices != 0:
-                continue
-            for shard_label, assignment in shardings.items():
-                mg_plans[f"b{batch}|{shard_label}"] = (
-                    build_multi_gpu_dlrm_plan(
-                        config, batch, devices,
-                        table_assignment=assignment,
-                        overlap=policy,
-                        mode=MODE_INFERENCE,
-                    )
-                )
-        if not mg_plans:
-            return []
-        result = self.engine.run_multi_gpu(
-            mg_plans,
-            collective_model_for,
-            fleets={
-                label: label
-                for label in sorted({f.gpu for f in shape_fleets})
-            },
-            overlap_policies=(policy,),
-            topologies=(
-                None if topology is None else {topology.label: topology}
-            ),
-        )
-        plans = []
-        for record in result:
-            batch_str, shard_label = record.point.plan.split("|", 1)
-            batch = int(batch_str[1:])
-            for fleet in shape_fleets:
-                if fleet.gpu != record.point.fleet:
-                    continue
-                plans.append(
-                    self.size_replicas(
-                        fleet, batch,
-                        record.prediction.iteration_us,
-                        sharding=shard_label, overlap=policy,
-                        bottleneck=record.prediction.bottleneck,
-                    )
-                )
-        return plans
-
-    def _plan_sharded(
+    def _plan_multi_gpu(
         self,
         config: DlrmConfig,
         batch_sizes: Sequence[int],
         fleets: Sequence[CandidateFleet],
-        collective_model_for: Callable[[int], object],
-        shardings: Mapping[str, list[list[int]] | None],
-        overlap_policies: Sequence[str],
-    ) -> list[CapacityPlan]:
-        """Evaluate sharded replicas via the multi-GPU sweep.
-
-        One ``run_multi_gpu`` call per (overlap policy, replica shape):
-        policies have structurally different forward-only plans, and
-        grouping by shape keeps each call's fleet axis limited to the
-        GPU labels actually sold in that shape (no wasted traversals on
-        fleet × device-count cross terms).  The engine's shared kernel
-        cache makes the later calls nearly free.
-        """
-        plans = []
-        by_shape: dict[int, list[CandidateFleet]] = {}
-        for fleet in fleets:
-            by_shape.setdefault(fleet.gpus_per_replica, []).append(fleet)
-        for policy in overlap_policies:
-            for devices, shape_fleets in sorted(by_shape.items()):
-                plans.extend(
-                    self._evaluate_shape(
-                        config, batch_sizes, shape_fleets, devices,
-                        collective_model_for, shardings, policy,
-                    )
-                )
-        return plans
-
-    def _plan_multinode(
-        self,
-        config: DlrmConfig,
-        batch_sizes: Sequence[int],
-        fleets: Sequence[CandidateFleet],
-        topology_model_for: Callable[[Topology], object],
+        collective_model_for: Callable[[int], object] | None,
+        topology_model_for: Callable[[Topology], object] | None,
         shardings: Mapping[str, list[list[int]] | None],
         overlap_policies: Sequence[str],
         intra_fabric: InterconnectSpec,
         inter_fabric: InterconnectSpec,
     ) -> list[CapacityPlan]:
-        """Evaluate replicas sharded across nodes via the topology axis.
+        """Evaluate sharded replicas, one- or multi-node, via the sweep.
 
-        The multi-node counterpart of :meth:`_plan_sharded`: each fleet
-        shape becomes a hierarchical :class:`Topology`
-        (``nodes × gpus_per_node`` over the given fabrics) and the
-        sweep prices every collective's intra/inter stages separately —
-        the plan records which fabric (or compute) bottlenecks the
-        replica.
+        One ``run_multi_gpu`` call per (overlap policy, replica shape):
+        policies have structurally different forward-only plans, and
+        grouping by shape keeps each call's fleet axis limited to the
+        GPU labels actually sold in that shape.  A one-node shape
+        prices its collectives with the flat ``collective_model_for``;
+        a multi-node shape becomes a hierarchical :class:`Topology`
+        (``nodes × gpus_per_node`` over the given fabrics) priced by
+        ``topology_model_for``, stage by stage.
+
+        Shapes with the same device count (a 4-GPU box and a 2×2-node
+        replica) serve the same plans, so plans come from a table keyed
+        by (batch, devices, sharding, policy) that lives for this call
+        only.
         """
-        plans = []
         by_shape: dict[tuple[int, int], list[CandidateFleet]] = {}
         for fleet in fleets:
-            key = (fleet.nodes, fleet.gpus_per_node)
+            key = (fleet.nodes, fleet.gpus_per_replica)
             by_shape.setdefault(key, []).append(fleet)
-        for policy in overlap_policies:
-            for (nodes, per_node), shape_fleets in sorted(by_shape.items()):
+        # One-node shapes first, each group policy-major: the order whose
+        # ties rank_plans' stable sort keeps.
+        grid = sorted(
+            (nodes > 1, i, nodes, devices)
+            for i in range(len(overlap_policies))
+            for nodes, devices in by_shape
+        )
+        plan_table: dict[tuple[int, int, str, str], MultiGpuPlan] = {}
+        plans = []
+        for _, i, nodes, devices in grid:
+            policy = overlap_policies[i]
+            mg_plans = {}
+            for batch in sorted(set(batch_sizes)):
+                if batch % devices != 0:
+                    continue
+                for shard_label, assignment in shardings.items():
+                    key = (batch, devices, shard_label, policy)
+                    if key not in plan_table:
+                        plan_table[key] = build_multi_gpu_dlrm_plan(
+                            config, batch, devices,
+                            table_assignment=assignment,
+                            overlap=policy,
+                            mode=MODE_INFERENCE,
+                        )
+                    mg_plans[f"b{batch}|{shard_label}"] = plan_table[key]
+            if not mg_plans:
+                continue
+            shape_fleets = by_shape[nodes, devices]
+            if nodes == 1:
+                model_for, topologies = collective_model_for, None
+            else:
                 topology = Topology(
-                    num_nodes=nodes, gpus_per_node=per_node,
+                    num_nodes=nodes, gpus_per_node=devices // nodes,
                     intra=intra_fabric, inter=inter_fabric,
                 )
-                plans.extend(
-                    self._evaluate_shape(
-                        config, batch_sizes, shape_fleets, nodes * per_node,
-                        topology_model_for, shardings, policy,
-                        topology=topology,
+                model_for = topology_model_for
+                topologies = {topology.label: topology}
+            result = self.engine.run_multi_gpu(
+                mg_plans,
+                model_for,
+                fleets={
+                    label: label
+                    for label in sorted({f.gpu for f in shape_fleets})
+                },
+                overlap_policies=(policy,),
+                topologies=topologies,
+            )
+            for record in result:
+                batch_str, shard_label = record.point.plan.split("|", 1)
+                batch = int(batch_str[1:])
+                for fleet in shape_fleets:
+                    if fleet.gpu != record.point.fleet:
+                        continue
+                    plans.append(
+                        self.size_replicas(
+                            fleet, batch,
+                            record.prediction.iteration_us,
+                            sharding=shard_label, overlap=policy,
+                            bottleneck=record.prediction.bottleneck,
+                        )
                     )
-                )
         return plans
 
 

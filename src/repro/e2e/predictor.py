@@ -132,9 +132,22 @@ def predict_e2e(
 #: One traversal row: (op name, stream, the op's kernel calls).
 PlanRow = tuple[str, int, tuple]
 
+#: Graph-memo key (:meth:`ExecutionGraph.derived`) of :func:`collect_plan`.
+_PLAN = "e2e.plan"
+
 
 def collect_plan(graph: ExecutionGraph) -> list[PlanRow]:
-    """The traversal-relevant view of a graph: one row per node."""
+    """The traversal-relevant view of a graph: one row per node.
+
+    Computed once per graph state (:meth:`ExecutionGraph.derived`), so
+    a segment shared by several devices, or read by several callers,
+    is walked once.  The returned list is shared: treat it as
+    read-only.
+    """
+    return graph.derived(_PLAN, _collect_plan)
+
+
+def _collect_plan(graph: ExecutionGraph) -> list[PlanRow]:
     return [
         (node.op_name, node.stream, node.op.cached_kernel_calls())
         for node in graph.nodes

@@ -17,6 +17,7 @@ unchanged — the paper's intended extension path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.graph import ExecutionGraph
 from repro.models.common import MODE_TRAIN, ModelBuilder, check_mode
@@ -95,6 +96,11 @@ class MultiGpuPlan:
     (see :mod:`repro.multigpu.schedule`): ``"none"`` reproduces the
     paper's synchronous phase-gated model bit-identically, ``"full"``
     hides collectives behind independent compute.
+
+    Devices whose segments would be identical may share one
+    :class:`ExecutionGraph` object (``phase[0] is phase[1]``), so
+    segments must be treated as immutable: mutating one can change
+    several devices at once.
     """
 
     num_devices: int
@@ -164,13 +170,41 @@ class MultiGpuPlan:
         ]
 
 
+def distinct_segments(plans: Iterable[MultiGpuPlan]) -> list[ExecutionGraph]:
+    """Every segment object of ``plans`` once, in first-seen order.
+
+    Devices sharing a segment contribute it once, so callers that
+    gather a kernel population walk each shared segment once.
+    """
+    return list({
+        id(segment): segment
+        for plan in plans
+        for phase in plan.compute_phases
+        for segment in phase
+    }.values())
+
+
+def _lookup_key(config: DlrmConfig,
+                local_tables: list[int]) -> tuple[int, int]:
+    """What a device's lookup segments depend on: ``(tables, avg rows)``.
+
+    Lookups over the device's tables are priced by their count and mean
+    row count, so devices with equal keys build identical segments.
+    """
+    if not local_tables:
+        return 0, 0
+    rows = [config.table_rows[i] for i in local_tables]
+    return len(local_tables), max(1, round(sum(rows) / len(rows)))
+
+
 def _phase_a(config: DlrmConfig, local_batch: int, full_batch: int,
-             local_tables: list[int], device: int) -> ExecutionGraph:
+             lookup_key: tuple[int, int], device: int) -> ExecutionGraph:
     """Input copies + bottom MLP (local batch) + local-table lookups."""
     b = ModelBuilder(f"dlrm_mp_d{device}_phaseA")
     dense_host = b.input(TensorMeta((local_batch, config.dense_dim), device="cpu"))
     (dense,) = b.call(ToDevice((local_batch, config.dense_dim)), [dense_host])
-    T_local = max(len(local_tables), 1)
+    num_tables, avg_e = lookup_key
+    T_local = max(num_tables, 1)
     L = config.lookups_per_table
     idx_host = b.input(
         TensorMeta((full_batch * T_local * L,), "int64", device="cpu")
@@ -180,11 +214,9 @@ def _phase_a(config: DlrmConfig, local_batch: int, full_batch: int,
         [idx_host],
     )
     b.mlp_forward(dense, local_batch, list(config.bot_mlp), final_relu=True)
-    if local_tables:
-        rows = [config.table_rows[i] for i in local_tables]
-        avg_e = max(1, round(sum(rows) / len(rows)))
+    if num_tables:
         lookup = LookupFunction(
-            full_batch, avg_e, len(local_tables), L, config.embedding_dim
+            full_batch, avg_e, num_tables, L, config.embedding_dim
         )
         weights = b.input(lookup.inputs[0])
         offsets = b.input(lookup.inputs[2])
@@ -247,16 +279,14 @@ def _phase_b(config: DlrmConfig, local_batch: int, device: int,
 
 
 def _phase_c(config: DlrmConfig, local_batch: int, full_batch: int,
-             local_tables: list[int], device: int) -> ExecutionGraph:
+             lookup_key: tuple[int, int], device: int) -> ExecutionGraph:
     """Lookup backward (local tables, full batch) + bottom MLP backward."""
     b = ModelBuilder(f"dlrm_mp_d{device}_phaseC")
     D = config.embedding_dim
     L = config.lookups_per_table
-    if local_tables:
-        rows = [config.table_rows[i] for i in local_tables]
-        avg_e = max(1, round(sum(rows) / len(rows)))
-        T_local = len(local_tables)
-        bwd = LookupFunctionBackward(full_batch, avg_e, T_local, L, D)
+    num_tables, avg_e = lookup_key
+    if num_tables:
+        bwd = LookupFunctionBackward(full_batch, avg_e, num_tables, L, D)
         grad = b.input(bwd.inputs[0])
         weights = b.input(bwd.inputs[1])
         indices = b.input(bwd.inputs[2])
@@ -272,14 +302,16 @@ def _phase_c(config: DlrmConfig, local_batch: int, full_batch: int,
 
 
 def _phase_lookup_fwd(config: DlrmConfig, full_batch: int,
-                      local_tables: list[int], device: int) -> ExecutionGraph:
+                      lookup_key: tuple[int, int],
+                      device: int) -> ExecutionGraph:
     """Index copies + local-table lookups only (overlap plan phase 0).
 
     Splitting the lookups from the bottom MLP lets the embedding
     all-to-all start as early as possible and hide behind the MLP.
     """
     b = ModelBuilder(f"dlrm_mp_d{device}_lookupF")
-    T_local = max(len(local_tables), 1)
+    num_tables, avg_e = lookup_key
+    T_local = max(num_tables, 1)
     L = config.lookups_per_table
     idx_host = b.input(
         TensorMeta((full_batch * T_local * L,), "int64", device="cpu")
@@ -288,11 +320,9 @@ def _phase_lookup_fwd(config: DlrmConfig, full_batch: int,
         ToDevice((full_batch * T_local * L,), "int64", batch=full_batch),
         [idx_host],
     )
-    if local_tables:
-        rows = [config.table_rows[i] for i in local_tables]
-        avg_e = max(1, round(sum(rows) / len(rows)))
+    if num_tables:
         lookup = LookupFunction(
-            full_batch, avg_e, len(local_tables), L, config.embedding_dim
+            full_batch, avg_e, num_tables, L, config.embedding_dim
         )
         weights = b.input(lookup.inputs[0])
         offsets = b.input(lookup.inputs[2])
@@ -324,15 +354,15 @@ def _phase_bot_mlp_bwd(config: DlrmConfig, local_batch: int,
 
 
 def _phase_lookup_bwd(config: DlrmConfig, full_batch: int,
-                      local_tables: list[int], device: int) -> ExecutionGraph:
+                      lookup_key: tuple[int, int],
+                      device: int) -> ExecutionGraph:
     """Lookup backward for the local tables (needs the gradient a2a)."""
     b = ModelBuilder(f"dlrm_mp_d{device}_lookupB")
     D = config.embedding_dim
     L = config.lookups_per_table
-    if local_tables:
-        rows = [config.table_rows[i] for i in local_tables]
-        avg_e = max(1, round(sum(rows) / len(rows)))
-        bwd = LookupFunctionBackward(full_batch, avg_e, len(local_tables), L, D)
+    num_tables, avg_e = lookup_key
+    if num_tables:
+        bwd = LookupFunctionBackward(full_batch, avg_e, num_tables, L, D)
         grad = b.input(bwd.inputs[0])
         weights = b.input(bwd.inputs[1])
         indices = b.input(bwd.inputs[2])
@@ -427,15 +457,25 @@ def build_multi_gpu_dlrm_plan(
     max_local_tables = max((len(t) for t in table_assignment), default=0)
     emb_bytes = 4.0 * batch_size * max_local_tables * D
 
+    # Local-batch phases are identical on every device, and lookup
+    # phases on devices with equal lookup keys: each distinct segment is
+    # built once and shared (see MultiGpuPlan).
+    lookup_keys = [_lookup_key(config, tables) for tables in table_assignment]
+
+    def per_key(build) -> list[ExecutionGraph]:
+        """``build(key, device)`` once per distinct lookup key."""
+        built: dict[tuple[int, int], ExecutionGraph] = {}
+        for d, key in enumerate(lookup_keys):
+            if key not in built:
+                built[key] = build(key, d)
+        return [built[key] for key in lookup_keys]
+
+    phase_b = [_phase_b(config, local_batch, 0, train=train)] * num_devices
     if overlap == OVERLAP_FULL:
-        lookup_fwd = [
-            _phase_lookup_fwd(config, batch_size, table_assignment[d], d)
-            for d in range(num_devices)
-        ]
-        bot_mlp = [_phase_bot_mlp(config, local_batch, d)
-                   for d in range(num_devices)]
-        phase_b = [_phase_b(config, local_batch, d, train=train)
-                   for d in range(num_devices)]
+        lookup_fwd = per_key(
+            lambda key, d: _phase_lookup_fwd(config, batch_size, key, d)
+        )
+        bot_mlp = [_phase_bot_mlp(config, local_batch, 0)] * num_devices
         if not train:
             # Serving: lookups start the all-to-all as early as possible
             # and it hides behind the bottom MLP; nothing runs after the
@@ -451,13 +491,11 @@ def build_multi_gpu_dlrm_plan(
                 table_assignment=table_assignment,
                 overlap=OVERLAP_FULL,
             )
-        bot_bwd = [_phase_bot_mlp_bwd(config, local_batch, d)
-                   for d in range(num_devices)]
-        lookup_bwd = [
-            _phase_lookup_bwd(config, batch_size, table_assignment[d], d)
-            for d in range(num_devices)
-        ]
-        phase_d = [_phase_d(config, local_batch, d) for d in range(num_devices)]
+        bot_bwd = [_phase_bot_mlp_bwd(config, local_batch, 0)] * num_devices
+        lookup_bwd = per_key(
+            lambda key, d: _phase_lookup_bwd(config, batch_size, key, d)
+        )
+        phase_d = [_phase_d(config, local_batch, 0)] * num_devices
         collectives = [
             CollectivePhase(ALL2ALL, emb_bytes, label="embedding forward",
                             produced_by=0, consumed_by=2),
@@ -475,12 +513,9 @@ def build_multi_gpu_dlrm_plan(
             overlap=OVERLAP_FULL,
         )
 
-    phase_a = [
-        _phase_a(config, local_batch, batch_size, table_assignment[d], d)
-        for d in range(num_devices)
-    ]
-    phase_b = [_phase_b(config, local_batch, d, train=train)
-               for d in range(num_devices)]
+    phase_a = per_key(
+        lambda key, d: _phase_a(config, local_batch, batch_size, key, d)
+    )
     if not train:
         # Serving with barriers: lookup/bottom-MLP phase, the embedding
         # all-to-all, then the interaction + top-MLP forward.
@@ -492,11 +527,10 @@ def build_multi_gpu_dlrm_plan(
             ],
             table_assignment=table_assignment,
         )
-    phase_c = [
-        _phase_c(config, local_batch, batch_size, table_assignment[d], d)
-        for d in range(num_devices)
-    ]
-    phase_d = [_phase_d(config, local_batch, d) for d in range(num_devices)]
+    phase_c = per_key(
+        lambda key, d: _phase_c(config, local_batch, batch_size, key, d)
+    )
+    phase_d = [_phase_d(config, local_batch, 0)] * num_devices
 
     collectives = [
         CollectivePhase(ALL2ALL, emb_bytes, label="embedding forward"),

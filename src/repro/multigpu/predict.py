@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from repro.e2e import collect_plan, plan_kernels, predict_e2e
 from repro.multigpu.interconnect import CollectiveModel
-from repro.multigpu.plan import MultiGpuPlan
+from repro.multigpu.plan import MultiGpuPlan, distinct_segments
 from repro.multigpu.schedule import (
     DEFAULT_CHANNEL,
     OVERLAP_NONE,
@@ -188,13 +188,24 @@ def predict_multi_gpu(
     registries = per_device(registry, plan.num_devices, "registries")
     overhead_dbs = per_device(overheads, plan.num_devices, "overhead dbs")
 
+    # Devices may share a segment object (and usually a registry and
+    # database), so each distinct triple is priced once per call.
+    priced: dict[tuple[int, int, int], float] = {}
+
+    def price(segment, registry, overheads) -> float:
+        """Algorithm 1 time of one device's segment, memoized."""
+        key = (id(segment), id(registry), id(overheads))
+        if key not in priced:
+            priced[key] = predict_e2e(
+                segment, registry, overheads, sync_h2d=True
+            ).total_us
+        return priced[key]
+
     phase_times = []
     per_device_times = []
     for phase in plan.compute_phases:
         device_times = tuple(
-            predict_e2e(
-                segment, registries[d], overhead_dbs[d], sync_h2d=True
-            ).total_us
+            price(segment, registries[d], overhead_dbs[d])
             for d, segment in enumerate(phase)
         )
         per_device_times.append(device_times)
@@ -268,9 +279,7 @@ def scaling_curve(
     # prediction below then hits.
     all_kernels = [
         kernel
-        for plan in plans.values()
-        for phase in plan.compute_phases
-        for segment in phase
+        for segment in distinct_segments(plans.values())
         for kernel in plan_kernels(collect_plan(segment))
     ]
     unique_registries = (

@@ -18,8 +18,8 @@ inputs each request kind consumes:
 Everything is ``hashlib``-based and key-sorted, so keys are stable
 across processes and ``PYTHONHASHSEED`` values — the property that
 lets the memo tier and persisted snapshots survive restarts.  The
-graph-derived halves (plan, plan digest, structural digest) are cached
-on the graph object and dropped when it is mutated.
+graph-derived halves (plan, kernel types, plan digest, structural
+digest) are cached on the graph object and dropped when it is mutated.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ KEY_WIDTH = 16
 
 #: Graph-memo keys (:meth:`~repro.graph.ExecutionGraph.derived`) of the
 #: per-graph values below.
-_PLAN = "service.plan"
+_KERNEL_TYPES = "service.kernel_types"
 _PLAN_DIGEST = "service.plan_digest"
 _GRAPH_KEY = "service.graph_key"
 
@@ -51,17 +51,16 @@ _GRAPH_KEY = "service.graph_key"
 def plan_and_types(graph: ExecutionGraph) -> tuple[list, tuple[str, ...]]:
     """A graph's :func:`~repro.e2e.collect_plan` rows and the sorted
     kernel types they dispatch, computed once per graph state."""
-    return graph.derived(_PLAN, _plan_and_types)
+    return collect_plan(graph), graph.derived(_KERNEL_TYPES, _kernel_types)
 
 
-def _plan_and_types(graph: ExecutionGraph) -> tuple[list, tuple[str, ...]]:
+def _kernel_types(graph: ExecutionGraph) -> tuple[str, ...]:
     plan = collect_plan(graph)
-    types = tuple(sorted({k.kernel_type for _, _, ks in plan for k in ks}))
-    return plan, types
+    return tuple(sorted({k.kernel_type for _, _, ks in plan for k in ks}))
 
 
 def _plan_digest(graph: ExecutionGraph) -> bytes:
-    return plan_digest(plan_and_types(graph)[0])
+    return plan_digest(collect_plan(graph))
 
 
 def graph_key(graph: ExecutionGraph) -> str:

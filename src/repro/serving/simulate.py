@@ -356,6 +356,10 @@ class _LoopState:
         candidates = self.routable()
         if not candidates:
             return None
+        if len(candidates) == 1:
+            # integers(1) draws nothing from the generator, so skipping
+            # it leaves every later draw, and the trace, unchanged.
+            return candidates[0]
         if self.sim.routing == ROUTE_RANDOM:
             return candidates[int(self.rng.integers(len(candidates)))]
         return min(

@@ -56,7 +56,7 @@ from repro.e2e import (
     traverse_plan,
 )
 from repro.graph import ExecutionGraph
-from repro.multigpu.plan import MultiGpuPlan
+from repro.multigpu.plan import MultiGpuPlan, distinct_segments
 from repro.multigpu.predict import predict_multi_gpu
 from repro.multigpu.schedule import OVERLAP_POLICIES
 from repro.multigpu.topology import Topology
@@ -573,9 +573,7 @@ class SweepEngine:
 
         all_kernels = [
             kernel
-            for plan in plans.values()
-            for phase in plan.compute_phases
-            for segment in phase
+            for segment in distinct_segments(plans.values())
             for kernel in plan_kernels(collect_plan(segment))
         ]
         used_labels = {

@@ -125,6 +125,10 @@ def parallel_sweep(
         A :class:`SweepResult` byte-identical to
         ``engine.run(graph, recorded_batch, batch_sizes, ...)``, with
         per-worker cache deltas merged into the telemetry.
+
+    Raises:
+        concurrent.futures.process.BrokenProcessPool: A worker died
+            before returning its span.
     """
     global _WORKER_STATE
     if workers is None:
@@ -135,6 +139,8 @@ def parallel_sweep(
         return engine._evaluate(
             labeled_plans, cutoff_us=cutoff_us, fingerprints=fingerprints
         )
+
+    from concurrent.futures import ProcessPoolExecutor
 
     from repro.e2e import plan_kernels
     from repro.sweep.engine import plan_digest
@@ -194,9 +200,14 @@ def parallel_sweep(
     gc.collect()
     gc.freeze()
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=len(spans)) as pool:
-            span_results = pool.map(_evaluate_span, spans)
+        # Unlike multiprocessing.Pool, the executor notices a worker
+        # that dies mid-span and raises BrokenProcessPool instead of
+        # waiting forever for its result.
+        with ProcessPoolExecutor(
+            max_workers=len(spans),
+            mp_context=multiprocessing.get_context("fork"),
+        ) as pool:
+            span_results = list(pool.map(_evaluate_span, spans))
     finally:
         _WORKER_STATE = None
         gc.unfreeze()

@@ -376,3 +376,54 @@ class TestMultiNodeCapacity:
         )
         rows = json.loads(plans_to_json(plans))
         assert {"nodes", "bottleneck"} <= set(rows[0])
+
+    def test_each_distinct_plan_is_built_once_per_search(
+        self, engine, monkeypatch
+    ):
+        """perfbench's plan-fleet fleet set builds 30 plans, not 44.
+
+        The 4-GPU box and the 2×2-node replica share their plans, and a
+        second search builds them all again: nothing outlives a call.
+        """
+        from repro.capacity import planner as planner_module
+
+        builds = []
+        real = planner_module.build_multi_gpu_dlrm_plan
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            planner_module, "build_multi_gpu_dlrm_plan", counting
+        )
+        planner = CapacityPlanner(engine, ServingTarget.from_ms(50_000, 5.0))
+
+        def search():
+            return planner.plan_dlrm(
+                DLRM_DEFAULT, (1, 2, 4, 8, 16, 32, 64, 128, 256),
+                fleets=[
+                    CandidateFleet("V100", gpus_per_replica=1),
+                    CandidateFleet("V100", gpus_per_replica=2),
+                    CandidateFleet("V100", gpus_per_replica=4),
+                    CandidateFleet("V100", gpus_per_replica=4, nodes=2),
+                ],
+                collective_model_for=lambda n: CollectiveModel.calibrate(
+                    GroundTruthCollectives(NVLINK), n
+                ),
+                topology_model_for=lambda topo: (
+                    TopologyCollectiveModel.calibrate(
+                        GroundTruthTopologyCollectives(topo)
+                    )
+                ),
+                prune=True,
+            )
+
+        first = search()
+        assert len(builds) == 30
+        builds.clear()
+        second = search()
+        assert len(builds) == 30
+        assert plans_to_json(second) == plans_to_json(first)
+        fleets = {p.fleet for p in first}
+        assert {"V100x4", "V100x4@2n"} <= fleets

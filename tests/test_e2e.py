@@ -3,9 +3,10 @@
 import pytest
 
 from repro.baselines import predict_kernel_only_us
-from repro.e2e import predict_e2e
+from repro.e2e import collect_plan, predict_e2e
 from repro.graph.transforms import parallelize_independent_branches
 from repro.models import build_model
+from repro.ops import Relu
 from repro.overheads import OverheadDatabase
 
 
@@ -90,3 +91,17 @@ class TestStreams:
         # Same active time; GPU span may shrink with overlap.
         assert multi.active_us == pytest.approx(base.active_us)
         assert multi.gpu_us <= base.gpu_us * 1.01
+
+
+class TestPlanMemo:
+    def test_collect_plan_is_walked_once_per_graph_state(self):
+        graph = build_model("DLRM_default", 64)
+        first = collect_plan(graph)
+        assert collect_plan(graph) is first
+        last = graph.nodes[-1]
+        graph.add_node(Relu(last.op.outputs[0].shape), [last.output_ids[0]])
+        rows = collect_plan(graph)
+        assert rows is not first
+        assert len(rows) == len(first) + 1
+        assert rows[:-1] == first
+        assert rows[-1][0] == "aten::relu"

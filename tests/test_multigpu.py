@@ -1,9 +1,15 @@
 """Unit + integration tests for the multi-GPU extension."""
 
+import dataclasses
+
 import pytest
 
+from repro.codesign import TableSpec, greedy_balance
+from repro.graph.serialize import graph_to_dict
 from repro.hardware import TESLA_V100
+from repro.models import MODE_INFERENCE, MODE_TRAIN
 from repro.models.dlrm import DLRM_DEFAULT
+from repro.multigpu import plan as plan_module
 from repro.multigpu import (
     NVLINK,
     PCIE_FABRIC,
@@ -111,6 +117,162 @@ class TestPlan:
                 compute_phases=plan.compute_phases,
                 collectives=plan.collectives,
             )
+
+
+#: DLRM_DEFAULT with uneven tables, so devices' lookup segments differ.
+UNEVEN_DLRM = dataclasses.replace(
+    DLRM_DEFAULT,
+    rows_per_table=(
+        4_000_000, 2_000_000, 1_000_000, 500_000,
+        250_000, 100_000, 10_000, 1_000,
+    ),
+)
+
+
+def fresh_segments(config, batch, assignment, overlap, mode):
+    """Every device's segments built one by one, sharing nothing."""
+    n = len(assignment)
+    local = batch // n
+    train = mode == MODE_TRAIN
+
+    def lookup_key(tables):
+        if not tables:
+            return 0, 0
+        rows = [config.table_rows[i] for i in tables]
+        return len(tables), max(1, round(sum(rows) / len(rows)))
+
+    def b(d):
+        return plan_module._phase_b(config, local, d, train=train)
+
+    phases = []
+    for d, tables in enumerate(assignment):
+        key = lookup_key(tables)
+        if overlap == "full":
+            row = [
+                plan_module._phase_lookup_fwd(config, batch, key, d),
+                plan_module._phase_bot_mlp(config, local, d),
+                b(d),
+            ]
+            if train:
+                row += [
+                    plan_module._phase_bot_mlp_bwd(config, local, d),
+                    plan_module._phase_lookup_bwd(config, batch, key, d),
+                    plan_module._phase_d(config, local, d),
+                ]
+        else:
+            row = [plan_module._phase_a(config, local, batch, key, d), b(d)]
+            if train:
+                row += [
+                    plan_module._phase_c(config, local, batch, key, d),
+                    plan_module._phase_d(config, local, d),
+                ]
+        phases.append(row)
+    return [list(phase) for phase in zip(*phases)]
+
+
+def structure(segment):
+    """A segment's serialized form without its (device-named) name."""
+    data = graph_to_dict(segment)
+    del data["name"]
+    return data
+
+
+class TestSharedSegments:
+    @pytest.fixture(scope="class")
+    def assignments(self, registry):
+        tables = [
+            TableSpec(rows=r, dim=UNEVEN_DLRM.embedding_dim,
+                      lookups=UNEVEN_DLRM.lookups_per_table)
+            for r in UNEVEN_DLRM.table_rows
+        ]
+        out = {}
+        for n in (1, 2, 4, 8):
+            out[n, "round_robin"] = None
+            out[n, "greedy"] = greedy_balance(
+                tables, n, 1024, registry
+            ).assignment
+            # Everything on device 0: the others look up nothing.
+            out[n, "skewed"] = [list(range(len(tables)))] + [[]] * (n - 1)
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("overlap", ["none", "full"])
+    @pytest.mark.parametrize("mode", [MODE_TRAIN, MODE_INFERENCE])
+    @pytest.mark.parametrize("sharding", ["round_robin", "greedy", "skewed"])
+    def test_every_segment_equals_a_fresh_per_device_build(
+        self, assignments, n, overlap, mode, sharding
+    ):
+        plan = build_multi_gpu_dlrm_plan(
+            UNEVEN_DLRM, 1024, n,
+            table_assignment=assignments[n, sharding],
+            overlap=overlap, mode=mode,
+        )
+        fresh = fresh_segments(
+            UNEVEN_DLRM, 1024, plan.table_assignment, overlap, mode
+        )
+        assert len(plan.compute_phases) == len(fresh)
+        for phase, expected in zip(plan.compute_phases, fresh):
+            assert [structure(s) for s in phase] == [
+                structure(s) for s in expected
+            ]
+
+    def test_identical_segments_are_one_object(self):
+        plan = build_multi_gpu_dlrm_plan(DLRM_DEFAULT, 1024, 4)
+        # Round-robin over equal tables: every phase is one graph.
+        for phase in plan.compute_phases:
+            assert all(segment is phase[0] for segment in phase)
+        assert plan_module.distinct_segments([plan]) == [
+            phase[0] for phase in plan.compute_phases
+        ]
+
+    def test_uneven_lookups_keep_their_own_segments(self):
+        plan = build_multi_gpu_dlrm_plan(
+            UNEVEN_DLRM, 1024, 2, table_assignment=[[0, 1, 2], [3, 4, 5, 6, 7]]
+        )
+        phase_a, phase_b = plan.compute_phases[:2]
+        assert phase_a[0] is not phase_a[1]
+        assert phase_b[0] is phase_b[1]
+
+    def test_shared_segment_is_priced_once(
+        self, monkeypatch, registry, overhead_db
+    ):
+        from repro.multigpu import predict as predict_module
+
+        plan = build_multi_gpu_dlrm_plan(DLRM_DEFAULT, 1024, 4)
+        calls = []
+        real = predict_module.predict_e2e
+
+        def counting(segment, *args, **kwargs):
+            calls.append(segment)
+            return real(segment, *args, **kwargs)
+
+        monkeypatch.setattr(predict_module, "predict_e2e", counting)
+        model = CollectiveModel.calibrate(GroundTruthCollectives(NVLINK), 4)
+        shared = predict_multi_gpu(plan, registry, overhead_db, model)
+        assert len(calls) == plan.num_phases
+        # A per-device registry list of one object prices the same way.
+        calls.clear()
+        listed = predict_multi_gpu(plan, [registry] * 4, overhead_db, model)
+        assert len(calls) == plan.num_phases
+        assert listed == shared
+
+    def test_sharing_leaves_predictions_unchanged(self, registry, overhead_db):
+        plan = build_multi_gpu_dlrm_plan(
+            UNEVEN_DLRM, 1024, 4, overlap="full"
+        )
+        unshared = MultiGpuPlan(
+            num_devices=4,
+            compute_phases=fresh_segments(
+                UNEVEN_DLRM, 1024, plan.table_assignment, "full", MODE_TRAIN
+            ),
+            collectives=plan.collectives,
+            table_assignment=plan.table_assignment,
+            overlap="full",
+        )
+        model = CollectiveModel.calibrate(GroundTruthCollectives(NVLINK), 4)
+        assert predict_multi_gpu(
+            plan, registry, overhead_db, model
+        ) == predict_multi_gpu(unshared, registry, overhead_db, model)
 
 
 class TestSimulateAndPredict:

@@ -419,6 +419,37 @@ class TestScenarios:
         assert slowed.completed == 6000
         assert slowed.latency_p99_us > healthy.latency_p99_us
 
+    def test_integers_of_one_consumes_no_generator_state(self):
+        """The premise that lets a lone replica skip the routing draw."""
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        for _ in range(5):
+            assert rng.integers(1) == 0
+        assert rng.bit_generator.state == before
+
+    def test_lone_replica_routes_without_a_draw(self, monkeypatch):
+        draws = []
+        real = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def integers(self, *args, **kwargs):
+                draws.append(args)
+                return self._rng.integers(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        spec = ArrivalSpec(kind=ARRIVAL_POISSON, qps=900.0, num_requests=500)
+        policy = BatchingPolicy(max_batch=4, timeout_us=500.0)
+        ServingSimulator(flat_service(300.0, 4), 1, policy, seed=2).run(spec)
+        assert draws == []
+        ServingSimulator(flat_service(300.0, 4), 2, policy, seed=2).run(spec)
+        assert draws
+
     def test_zero_timeout_disables_batching(self):
         spec = ArrivalSpec(
             kind=ARRIVAL_POISSON, qps=1000.0, num_requests=2000

@@ -1,6 +1,11 @@
 """Scale features of the sweep engine: cache sizing, parallel fan-out,
 branch-and-bound pruning, and incremental re-sweeps."""
 
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -160,6 +165,30 @@ class TestParallelSweep:
     def test_duplicate_batches_rejected(self, engine, dlrm_graph):
         with pytest.raises(ValueError, match="duplicate batch sizes"):
             parallel_sweep(engine, dlrm_graph, 512, [256, 512, 256])
+
+    def test_dead_worker_fails_fast_instead_of_hanging(
+        self, engine, dlrm_graph, monkeypatch
+    ):
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            assert os.getpid() != parent, "the parent walked a span"
+            os._exit(3)
+
+        def hung(signum, frame):
+            raise TimeoutError("parallel_sweep hung on a dead worker")
+
+        monkeypatch.setattr(engine, "_evaluate_plans", die)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        start = time.monotonic()
+        try:
+            with pytest.raises(BrokenProcessPool):
+                parallel_sweep(engine, dlrm_graph, 512, BATCHES, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
 
 
 class TestPruning:
