@@ -71,6 +71,7 @@ class KernelCall:
             mapping so kernel calls are safely shareable.
         name: Display name, e.g. ``volta_sgemm_128x64``-style labels in
             real traces; defaults to the kernel type.
+        key: Derived ``(kernel_type, sorted params, name)`` identity.
     """
 
     kernel_type: str
@@ -86,16 +87,12 @@ class KernelCall:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if not self.name:
             object.__setattr__(self, "name", self.kernel_type)
-        # Kernel calls are hashed constantly by the prediction cache;
-        # all fields are frozen, so compute the hash once.  The value
-        # is an in-process cache key only — it never reaches results/.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(  # repro-lint: disable=det-hash
-                (self.kernel_type, tuple(sorted(self.params.items())), self.name)
-            ),
-        )
+        # All fields are frozen, so build the identity and its hash
+        # once.  The hash is an in-process cache key only — it never
+        # reaches results/.
+        key = (self.kernel_type, tuple(sorted(self.params.items())), self.name)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))  # repro-lint: disable=det-hash
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,12 +100,7 @@ class KernelCall:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KernelCall):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.kernel_type == other.kernel_type
-            and self.params == other.params
-            and self.name == other.name
-        )
+        return self._hash == other._hash and self.key == other.key
 
 
 def elementwise_kernel(

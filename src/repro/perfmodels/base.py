@@ -11,7 +11,9 @@ Prediction is *batched and memoized*: :meth:`PerfModelRegistry.predict_many`
 groups a kernel population by type, deduplicates identical calls
 (:class:`~repro.ops.KernelCall` is hashable by design), dispatches one
 :meth:`KernelPerfModel.predict_batch` call per type, and caches results
-in a bounded per-registry LRU.  What-if sweeps that re-evaluate
+in a bounded per-registry LRU keyed by ``KernelCall.key``: plain
+tuples the garbage collector stops tracking, so full-collection pauses
+barely grow with the cache.  What-if sweeps that re-evaluate
 overlapping kernel populations (batch-size grids, fusion studies,
 scaling curves) therefore pay for each distinct kernel exactly once.
 
@@ -146,10 +148,10 @@ class PerfModelRegistry:
 
     def __init__(self, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
         self._models: dict[str, KernelPerfModel] = {}
-        self._cache: OrderedDict[KernelCall, float] = OrderedDict()
+        self._cache: OrderedDict[tuple, float] = OrderedDict()
         # Cache keys indexed by kernel type so replacing one model
         # invalidates exactly its own entries (no full-LRU scan).
-        self._by_type: dict[str, dict[KernelCall, None]] = {}
+        self._by_type: dict[str, dict[tuple, None]] = {}
         self._cache_size = max(int(cache_size), 0)
         self._hits = 0
         self._misses = 0
@@ -174,8 +176,8 @@ class PerfModelRegistry:
             # A replaced model invalidates every memoized value of its
             # type; the per-type key index makes this O(entries of that
             # type) instead of a scan over the whole cache.
-            for kernel in self._by_type.pop(model.kernel_type, ()):
-                del self._cache[kernel]
+            for key in self._by_type.pop(model.kernel_type, ()):
+                del self._cache[key]
         return self
 
     def ensure_cache_capacity(self, num_kernels: int) -> int:
@@ -234,10 +236,10 @@ class PerfModelRegistry:
             for kernel in kernels:
                 if kernel in times:
                     continue
-                cached = self._cache.get(kernel)
+                cached = self._cache.get(kernel.key)
                 if cached is not None:
                     self._hits += 1
-                    self._cache.move_to_end(kernel)
+                    self._cache.move_to_end(kernel.key)
                     times[kernel] = cached
                 else:
                     self._misses += 1
@@ -272,17 +274,15 @@ class PerfModelRegistry:
                     times[kernel] = t
                     if not cacheable:
                         continue
-                    self._cache[kernel] = t
-                    self._by_type.setdefault(
-                        kernel.kernel_type, {}
-                    )[kernel] = None
+                    self._cache[kernel.key] = t
+                    self._by_type.setdefault(kernel_type, {})[kernel.key] = None
             while len(self._cache) > self._cache_size:
                 evicted, _ = self._cache.popitem(last=False)
-                index = self._by_type.get(evicted.kernel_type)
+                index = self._by_type.get(evicted[0])
                 if index is not None:
                     index.pop(evicted, None)
                     if not index:
-                        del self._by_type[evicted.kernel_type]
+                        del self._by_type[evicted[0]]
 
         return np.array([times[k] for k in kernels], dtype=np.float64)
 

@@ -29,6 +29,8 @@ from repro.hardware import GpuSpec, MeasuredPeaks
 from repro.ops import KernelType
 from repro.perfmodels.base import KernelPerfModel
 
+_HIT_RATE_CHUNK = 256  # lookups i per EnhancedEmbeddingModel.hit_rate_batch pass
+
 
 def warp_traffic_bytes(params: Mapping[str, float], backward: bool) -> dict:
     """Per-WARP traffic components in bytes (paper notation)."""
@@ -156,8 +158,11 @@ class EnhancedEmbeddingModel(KernelPerfModel):
     ) -> np.ndarray:
         """Vectorized :meth:`hit_rate` over a kernel population.
 
-        Each row multiplies its ``L`` hypergeometric factors in the
-        same order as the scalar loop, so results are bit-identical.
+        The ``(i, row)`` grid of factors (``1.0`` where ``i >= L``) is
+        reduced along ``i`` in ``_HIT_RATE_CHUNK``-row chunks, each
+        seeded with the running product, so rows multiply left to right
+        as the scalar loop does (bit-identical) and no temporary
+        outgrows one chunk, however large ``L`` is.
         """
         B = _params_column(params_list, "B")
         E = _params_column(params_list, "E")
@@ -172,15 +177,15 @@ class EnhancedEmbeddingModel(KernelPerfModel):
             self.gpu.l2_cache_bytes / (num_tables * D * 4.0), E
         )
         p = np.ones(len(B), dtype=np.float64)
-        dead = np.zeros(len(B), dtype=bool)
-        for i in range(int(L.max(initial=0))):
-            num = avg_cached - i
-            den = E - i
-            step = L > i
-            dead |= step & ((num <= 0) | (den <= 0))
-            alive = step & ~dead
-            p[alive] *= num[alive] / den[alive]
-        p[dead] = 0.0
+        L_max = int(L.max(initial=0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # dead rows
+            for start in range(0, L_max, _HIT_RATE_CHUNK):
+                i = np.arange(start, min(start + _HIT_RATE_CHUNK, L_max))[:, None]
+                factors = np.where(i < L, (avg_cached - i) / (E - i), 1.0)
+                p = np.multiply.reduce(np.vstack((p, factors)), axis=0)
+        # num and den fall with i, so the last factor decides death.
+        last = L - 1.0
+        p[(L > 0) & ((avg_cached - last <= 0) | (E - last <= 0))] = 0.0
         return np.minimum(1.0, p)
 
     def predict_us(self, params: Mapping[str, float]) -> float:

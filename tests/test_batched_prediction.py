@@ -1,21 +1,34 @@
 """Property tests for the batched + memoized prediction pipeline.
 
-Two invariants guard the refactor:
+Three invariants guard the refactor:
 
 * ``predict_batch`` ≡ looped ``predict_us`` — bit-identical — for every
-  registered model type, on real kernel populations.
+  registered model type, on real kernel populations, and the embedding
+  L2 hit rate's chunked grid pass ≡ its scalar loop on drawn populations.
 * ``predict_e2e`` (collect -> predict_many -> traversal) is bit-identical
   to the seed implementation's one-kernel-at-a-time traversal.
+* The kernel cache keeps no object the garbage collector tracks.
 """
+
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.e2e import E2EPrediction, predict_e2e
+from repro.hardware import A100, TESLA_V100
 from repro.models import build_model
-from repro.ops import KernelType, scan_kernel
+from repro.ops import KernelType, elementwise_kernel, gemm_kernel, scan_kernel
 from repro.perfmodels import PerfModelRegistry
 from repro.perfmodels.base import DEFAULT_CACHE_SIZE
+from repro.perfmodels.heuristic.embedding import (
+    _HIT_RATE_CHUNK,
+    EnhancedEmbeddingModel,
+)
 from repro.simulator.host import T1, T2, T3, T4, T5
 
 #: Graphs whose kernel populations exercise every registered model.
@@ -159,8 +172,6 @@ class TestPredictMany:
 
     def test_unknown_type_raises(self, registry):
         empty = PerfModelRegistry()
-        from repro.ops import gemm_kernel
-
         with pytest.raises(KeyError, match="no performance model"):
             empty.predict_many([gemm_kernel(64, 64, 64)])
 
@@ -206,3 +217,139 @@ class TestE2EBitIdentical:
             )
             assert batched.total_us == reference.total_us
             assert batched.cpu_us == reference.cpu_us
+
+
+#: One embedding lookup row.  Small ``E`` and ``L`` up to 300 make dead
+#: rows (``E < L``) common; a big ``D`` at a small ``B`` squeezes
+#: ``avg_cached`` below ``L`` (the other dead branch).
+_embedding_rows = st.fixed_dictionaries(
+    {
+        "B": st.integers(1, 8192).map(float),
+        "E": st.one_of(st.integers(0, 300), st.integers(1, 10**8)).map(float),
+        "L": st.one_of(st.just(0), st.integers(0, 300)),
+        "D": st.sampled_from([1.0, 16.0, 64.0, 256.0, 4096.0]),
+    },
+    optional={"rows_per_block": st.integers(1, 256).map(float)},
+)
+
+#: Every branch on purpose: an alive row, ``E < L``, ``avg_cached < L``
+#: (32 rows per SM at B=1 leave under one 4096-wide row cached per
+#: table), ``L = 0``, ``rows_per_block`` present and absent, mixed ``L``.
+_BRANCH_ROWS = [
+    {"B": 512.0, "E": 1e6, "L": 100, "D": 64.0},
+    {"B": 512.0, "E": 50.0, "L": 100, "D": 64.0, "rows_per_block": 8.0},
+    {"B": 1.0, "E": 1e6, "L": 3, "D": 4096.0},
+    {"B": 512.0, "E": 1e6, "L": 0, "D": 64.0, "rows_per_block": 32.0},
+]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestHitRateBatch:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gpu=st.sampled_from([TESLA_V100, A100]),
+        rows=st.lists(_embedding_rows, min_size=1, max_size=40),
+    )
+    @example(gpu=TESLA_V100, rows=_BRANCH_ROWS)
+    @example(gpu=A100, rows=_BRANCH_ROWS)
+    def test_matches_scalar_bit_for_bit(self, gpu, rows):
+        model = EnhancedEmbeddingModel(gpu, None, backward=False)
+        batched = model.hit_rate_batch(rows)
+        looped = [model.hit_rate(p) for p in rows]
+        assert np.array_equal(_bits(batched), _bits(looped))
+
+    def test_branch_rows_cover_every_branch(self):
+        model = EnhancedEmbeddingModel(TESLA_V100, None, backward=False)
+        alive, e_dead, cache_dead, no_lookup = model.hit_rate_batch(
+            _BRANCH_ROWS
+        )
+        assert 0.0 < alive < 1.0
+        assert (e_dead, cache_dead, no_lookup) == (0.0, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_L_stays_within_one_chunk(self):
+        model = EnhancedEmbeddingModel(TESLA_V100, None, backward=False)
+        huge = {"B": 8192.0, "E": 2e6, "L": 100_000, "D": 1.0,
+                "rows_per_block": 1.0}
+        rows = [huge] + _BRANCH_ROWS * 16
+        tracemalloc.start()
+        try:
+            batched = model.hit_rate_batch(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = 8 * len(rows) * (_HIT_RATE_CHUNK + 1)
+        # A handful of chunk-sized temporaries (the L x n grid is 390x
+        # one chunk).
+        assert peak < 8 * chunk_bytes
+        looped = [model.hit_rate(p) for p in rows]
+        assert np.array_equal(_bits(batched), _bits(looped))
+
+
+def _index_matches_cache(reg: PerfModelRegistry) -> bool:
+    """Every per-type index lists exactly its type's cached keys."""
+    expected = {}
+    for key in reg._cache:
+        expected.setdefault(key[0], set()).add(key)
+    return {t: set(keys) for t, keys in reg._by_type.items()} == expected
+
+
+class TestKernelCacheAndGc:
+    @pytest.fixture
+    def fresh(self, registry):
+        reg = PerfModelRegistry()
+        for kernel_type in registry.kernel_types:
+            reg.register(registry.model_for(kernel_type))
+        return reg
+
+    def test_cache_keeps_nothing_the_gc_tracks(self, fresh):
+        gc.collect()
+        before = len(gc.get_objects())
+        graph = build_model("DLRM_default", 512)
+        kernels = [
+            k for node in graph.nodes for k in node.op.kernel_calls()
+        ]
+        kernels += [
+            elementwise_kernel(float(i), 4.0 * i, 4.0 * i)
+            for i in range(10_000)
+        ]
+        fresh.predict_many(kernels)
+        probe = weakref.ref(kernels[0])
+        del kernels, graph
+        # A pass untracks a tuple only if its items are untracked by
+        # then, so a key it reaches before its inner tuples needs a
+        # second pass.
+        gc.collect()
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert probe() is None
+        assert fresh.cache_info().size > 10_000
+        # Keyed by the calls, each entry kept two tracked objects alive.
+        assert grown < 100
+
+    def test_register_invalidates_exactly_its_type(self, fresh, registry):
+        gemms = [gemm_kernel(64, 64, k) for k in range(1, 30)]
+        elementwise = [elementwise_kernel(i, i, i) for i in range(1, 20)]
+        fresh.predict_many(gemms + elementwise)
+        fresh.register(registry.model_for(KernelType.GEMM))
+        assert KernelType.GEMM not in fresh._by_type
+        assert set(fresh._cache) == {k.key for k in elementwise}
+        assert _index_matches_cache(fresh)
+
+    def test_lru_eviction_keeps_the_type_index_exact(self, registry):
+        tiny = PerfModelRegistry(cache_size=10)
+        for kernel_type in registry.kernel_types:
+            tiny.register(registry.model_for(kernel_type))
+        gemms = [gemm_kernel(64, 64, k) for k in range(1, 7)]
+        elementwise = [elementwise_kernel(i, i, i) for i in range(1, 7)]
+        tiny.predict_many(gemms)
+        tiny.predict_many(elementwise)
+        assert set(tiny._cache) == {k.key for k in gemms[2:] + elementwise}
+        assert _index_matches_cache(tiny)
+        tiny.predict_many([elementwise_kernel(i, i, i) for i in range(7, 11)])
+        assert KernelType.GEMM not in tiny._by_type
+        assert _index_matches_cache(tiny)
