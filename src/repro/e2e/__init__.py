@@ -14,6 +14,7 @@ from repro.e2e.predictor import (
     predict_e2e,
     traverse_plan,
 )
+from repro.e2e.prediction_key import kernel_digest, plan_digest, prediction_key
 
 __all__ = [
     "DEFAULT_T4_US",
@@ -21,9 +22,12 @@ __all__ = [
     "KERNEL_GAP_US",
     "MemoryPrediction",
     "collect_plan",
+    "kernel_digest",
     "max_batch_within_memory",
+    "plan_digest",
     "plan_kernels",
     "predict_e2e",
     "predict_memory",
+    "prediction_key",
     "traverse_plan",
 ]

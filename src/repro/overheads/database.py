@@ -28,13 +28,17 @@ class OverheadDatabase:
     """Mean host overheads per op name and type, with fallbacks."""
 
     def __init__(self, stats: dict[str, dict[str, OverheadStats]]) -> None:
-        self._stats = stats
+        # Copied one level deep (OverheadStats is frozen), so mutating
+        # the caller's dict cannot desync the means from the fallbacks
+        # and the memoized fingerprint.
+        self._stats = {op: dict(per_type) for op, per_type in stats.items()}
+        self._fingerprint: str | None = None
         self._fallback: dict[str, float] = {}
         # Count-weighted mean per type via running sums — O(1) memory,
         # where materializing [mean] * count lists is O(total samples).
         weighted_sum: dict[str, float] = defaultdict(float)
         weight: dict[str, int] = defaultdict(int)
-        for per_type in stats.values():
+        for per_type in self._stats.values():
             for otype, st in per_type.items():
                 n = max(st.count, 1)
                 weighted_sum[otype] += st.mean * n
@@ -100,8 +104,11 @@ class OverheadDatabase:
         means, so two databases with the same fingerprint drive any
         Algorithm 1 traversal to identical results.  Hashed with
         ``hashlib`` (process-stable), this is the overheads component
-        of the incremental sweep's per-point fingerprint.
+        of every prediction key (:func:`repro.e2e.prediction_key`).
+        Computed once: the database is immutable.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         digest = hashlib.sha256()
         for op_name in sorted(self._stats):
             digest.update(op_name.encode())
@@ -113,7 +120,8 @@ class OverheadDatabase:
         for otype in sorted(self._fallback):
             digest.update(otype.encode())
             digest.update(repr(self._fallback[otype]).encode())
-        return digest.hexdigest()[:16]
+        self._fingerprint = digest.hexdigest()[:16]
+        return self._fingerprint
 
     def dominating_ops_by(self, otype: str, top_k: int = 10) -> list[tuple[str, OverheadStats]]:
         """Ops ranked by mean overhead of one type (Figure 8 panels)."""

@@ -165,6 +165,8 @@ class PerfModelRegistry:
         # out of the cache (inserting them would resurrect entries the
         # registration just invalidated).
         self._epoch = 0
+        # Kernel-type selection -> fingerprint, valid for one epoch.
+        self._fingerprints: dict[tuple[str, ...] | None, str] = {}
 
     def register(self, model: KernelPerfModel) -> "PerfModelRegistry":
         """Add (or replace) the model for its kernel type; chainable."""
@@ -173,6 +175,7 @@ class PerfModelRegistry:
         with self._lock:
             self._models[model.kernel_type] = model
             self._epoch += 1
+            self._fingerprints.clear()
             # A replaced model invalidates every memoized value of its
             # type; the per-type key index makes this O(entries of that
             # type) instead of a scan over the whole cache.
@@ -324,14 +327,20 @@ class PerfModelRegistry:
         The digest is content-based (model class plus parameter state,
         ``hashlib``-hashed), so it is stable across processes — unlike
         ``id()``-style identity or the randomized ``hash()`` builtin.
+        It is memoized per ``kernel_types`` until the next
+        :meth:`register`, the same epoch rule the kernel cache follows.
         """
-        selected = (
-            self.kernel_types
-            if kernel_types is None
-            else tuple(sorted(set(kernel_types)))
-        )
-        digest = hashlib.sha256()
+        memo_key = None if kernel_types is None else tuple(kernel_types)
         with self._lock:
+            fingerprint = self._fingerprints.get(memo_key)
+            if fingerprint is not None:
+                return fingerprint
+            selected = (
+                sorted(self._models)
+                if memo_key is None
+                else sorted(set(memo_key))
+            )
+            digest = hashlib.sha256()
             for kernel_type in selected:
                 digest.update(kernel_type.encode())
                 model = self._models.get(kernel_type)
@@ -340,7 +349,9 @@ class PerfModelRegistry:
                     continue
                 digest.update(type(model).__name__.encode())
                 _update_digest(digest, vars(model))
-        return digest.hexdigest()[:16]
+            fingerprint = digest.hexdigest()[:16]
+            self._fingerprints[memo_key] = fingerprint
+        return fingerprint
 
 
 def _update_digest(digest, obj, _depth: int = 0) -> None:

@@ -2,24 +2,23 @@
 
 Two requests that would provably produce the same answer must hash to
 the same content key, and any perturbation that could change the
-answer must change the key.  The key is assembled from exactly the
-inputs each request kind consumes:
+answer must change the key.  Each request kind keys exactly the inputs
+it consumes:
 
-* ``predict`` — the traversal-plan digest (what Algorithm 1 actually
-  walks: op names, streams, kernel calls with sorted parameters), the
-  registry fingerprint *restricted to the kernel types the plan
-  dispatches*, the overhead database fingerprint, and the traversal
-  knobs ``(t4_us, kernel_gap_us, sync_h2d)``;
-* ``kernel_only`` — plan digest + restricted registry fingerprint
-  (the baseline never reads overheads or traversal knobs);
+* ``predict`` — :func:`repro.e2e.prediction_key` (the sweep engine's
+  fingerprint function) over the plan digest, the registry fingerprint
+  restricted to the plan's kernel types, the overhead-DB fingerprint
+  and the traversal knobs ``(t4_us, kernel_gap_us, sync_h2d)``;
+* ``kernel_only`` — the same key without overheads and knobs (the
+  baseline reads neither);
 * ``memory`` — a full structural graph digest (liveness analysis reads
   tensor metadata the plan does not carry) + the optimizer name.
 
-Everything is ``hashlib``-based and key-sorted, so keys are stable
-across processes and ``PYTHONHASHSEED`` values — the property that
-lets the memo tier and persisted snapshots survive restarts.  The
-graph-derived halves (plan, kernel types, plan digest, structural
-digest) are cached on the graph object and dropped when it is mutated.
+Keys are stable across processes and ``PYTHONHASHSEED`` values — the
+property that lets the memo tier and persisted snapshots survive
+restarts.  The graph-derived halves (plan, kernel types, plan digest,
+structural digest) are cached on the graph object and dropped when it
+is mutated.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.e2e.prediction_key import KEY_WIDTH, plan_digest, prediction_key
 from repro.e2e.predictor import DEFAULT_T4_US, KERNEL_GAP_US, collect_plan
 from repro.graph import ExecutionGraph
 from repro.graph.serialize import graph_to_dict
@@ -35,11 +35,6 @@ from repro.service.request import (
     REQUEST_MEMORY,
     WhatIfRequest,
 )
-from repro.sweep import plan_digest
-
-#: Hex digits kept from each sha256 digest (matches the sweep
-#: fingerprint width; 64 bits of collision resistance).
-KEY_WIDTH = 16
 
 #: Graph-memo keys (:meth:`~repro.graph.ExecutionGraph.derived`) of the
 #: per-graph values below.
@@ -110,16 +105,14 @@ def request_key(
     Returns:
         A :data:`KEY_WIDTH`-hex-char content key.
     """
-    digest = hashlib.sha256()
-    digest.update(request.kind.encode())
     if request.kind == REQUEST_MEMORY:
+        digest = hashlib.sha256()
+        digest.update(request.kind.encode())
         digest.update(graph_key(request.graph).encode())
         digest.update(request.optimizer.encode())
         return digest.hexdigest()[:KEY_WIDTH]
-    digest.update(request.graph.derived(_PLAN_DIGEST, _plan_digest))
-    digest.update(registry_fp.encode())
-    if request.kind != REQUEST_KERNEL_ONLY:
-        digest.update(db_fp.encode())
-        knobs = repr((t4_us, kernel_gap_us, sync_h2d))
-        digest.update(knobs.encode())
-    return digest.hexdigest()[:KEY_WIDTH]
+    plan = request.graph.derived(_PLAN_DIGEST, _plan_digest)
+    if request.kind == REQUEST_KERNEL_ONLY:
+        return prediction_key(plan, registry_fp, kind=request.kind)
+    knobs = (t4_us, kernel_gap_us, sync_h2d)
+    return prediction_key(plan, registry_fp, db_fp, knobs, kind=request.kind)

@@ -153,11 +153,8 @@ class PredictionService:
         self._sync_h2d = sync_h2d
         self._memo = GraphMemoCache(memo_entries)
 
-        # Guards asset tables and their fingerprint memos.
+        # Guards the asset tables.
         self._assets_lock = threading.RLock()
-        # (registry label, plan kernel types) -> restricted fingerprint.
-        self._registry_fps: dict[tuple[str, tuple[str, ...]], str] = {}
-        self._db_fps: dict[str, str] = {}
 
         self._cond = threading.Condition()
         self._pending: deque[_Pending] = deque()
@@ -225,10 +222,6 @@ class PredictionService:
         """
         with self._assets_lock:
             self._registries[label] = registry
-            for key in [
-                k for k in self._registry_fps if k[0] == label
-            ]:
-                del self._registry_fps[key]
         return self._memo.invalidate(_GPU_TAG + label)
 
     def register_overheads(
@@ -241,7 +234,6 @@ class PredictionService:
         """
         with self._assets_lock:
             self._overhead_dbs[label] = overheads
-            self._db_fps.pop(label, None)
         return self._memo.invalidate(_DB_TAG + label)
 
     # ------------------------------------------------------------------
@@ -323,35 +315,6 @@ class PredictionService:
                 ) from None
         return registry, overheads
 
-    def _registry_fp(
-        self,
-        gpu: str,
-        registry: PerfModelRegistry,
-        types: tuple[str, ...],
-    ) -> str:
-        """Memoized restricted registry fingerprint."""
-        with self._assets_lock:
-            fp = self._registry_fps.get((gpu, types))
-        if fp is None:
-            fp = registry.fingerprint(types)
-            with self._assets_lock:
-                # Only memoize if the label still resolves to the same
-                # registry (a re-register may have raced us).
-                if self._registries.get(gpu) is registry:
-                    self._registry_fps[(gpu, types)] = fp
-        return fp
-
-    def _db_fp(self, label: str, overheads: OverheadDatabase) -> str:
-        """Memoized overhead-database fingerprint."""
-        with self._assets_lock:
-            fp = self._db_fps.get(label)
-        if fp is None:
-            fp = overheads.fingerprint()
-            with self._assets_lock:
-                if self._overhead_dbs.get(label) is overheads:
-                    self._db_fps[label] = fp
-        return fp
-
     def _execute(self, batch: list[_Pending]) -> None:
         """Run one micro-batch; an escape fails its unresolved futures."""
         try:
@@ -382,9 +345,9 @@ class PredictionService:
                     db_fp = ""
                 else:
                     plan, types = plan_and_types(request.graph)
-                    registry_fp = self._registry_fp(gpu, registry, types)
+                    registry_fp = registry.fingerprint(types)
                     db_fp = (
-                        self._db_fp(db_label, overheads)
+                        overheads.fingerprint()
                         if request.kind == REQUEST_PREDICT
                         else ""
                     )

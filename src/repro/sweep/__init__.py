@@ -4,8 +4,6 @@ from repro.sweep.engine import (
     IDENTITY_TRANSFORM,
     SweepEngine,
     evaluate_graphs,
-    kernel_digest,
-    plan_digest,
     sweep_batch_sizes,
 )
 from repro.sweep.parallel import default_workers, parallel_sweep
@@ -30,10 +28,8 @@ __all__ = [
     "SweepResult",
     "default_workers",
     "evaluate_graphs",
-    "kernel_digest",
     "lower_bound_us",
     "parallel_sweep",
-    "plan_digest",
     "plan_lower_bounds_us",
     "sweep_batch_sizes",
 ]

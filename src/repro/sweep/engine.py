@@ -41,7 +41,6 @@ Three scale features ride on the same grid walk:
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from typing import Callable, Mapping, Sequence
 
@@ -52,7 +51,9 @@ from repro.e2e import (
     E2EPrediction,
     KERNEL_GAP_US,
     collect_plan,
+    plan_digest,
     plan_kernels,
+    prediction_key,
     traverse_plan,
 )
 from repro.graph import ExecutionGraph
@@ -210,19 +211,7 @@ class SweepEngine:
             fingerprints = True
         kernel_lists = [plan_kernels(plan) for _, _, plan in labeled_plans]
         all_kernels = [k for ks in kernel_lists for k in ks]
-        plan_digests: list[bytes] | None = None
-        db_fps: dict[str, str] | None = None
-        if fingerprints:
-            kernel_cache: dict = {}
-            row_cache: dict = {}
-            plan_digests = [
-                plan_digest(plan, row_cache, kernel_cache)
-                for _, _, plan in labeled_plans
-            ]
-            db_fps = {
-                name: db.fingerprint()
-                for name, db in self.overhead_dbs.items()
-            }
+        plan_digests = _plan_digests(labeled_plans) if fingerprints else None
         records: list[SweepRecord] = []
         pruned: list[SweepPoint] = []
         deltas: dict[str, CacheInfo] = {}
@@ -249,7 +238,6 @@ class SweepEngine:
                 fingerprints=fingerprints,
                 previous=previous,
                 plan_digests=plan_digests,
-                db_fps=db_fps,
             )
             records.extend(recs)
             pruned.extend(prn)
@@ -270,7 +258,6 @@ class SweepEngine:
         fingerprints: bool = False,
         previous: Mapping[SweepPoint, SweepRecord] | None = None,
         plan_digests: Sequence[bytes] | None = None,
-        db_fps: Mapping[str, str] | None = None,
     ) -> tuple[list[SweepRecord], list[SweepPoint], int]:
         """Walk one registry's share of the grid (cache-hit traversals).
 
@@ -286,23 +273,19 @@ class SweepEngine:
         records: list[SweepRecord] = []
         pruned: list[SweepPoint] = []
         reused = 0
-        knobs = repr((self.t4_us, self.kernel_gap_us, self.sync_h2d))
-        registry_fp_cache: dict[tuple, str] = {}
+        knobs = (self.t4_us, self.kernel_gap_us, self.sync_h2d)
         for idx, (label, batch, plan) in enumerate(labeled_plans):
             kernels = kernel_lists[idx]
             fps: dict[str, str] = {}
             if fingerprints:
                 types = tuple(sorted({k.kernel_type for k in kernels}))
-                registry_fp = registry_fp_cache.get(types)
-                if registry_fp is None:
-                    registry_fp = registry.fingerprint(types)
-                    registry_fp_cache[types] = registry_fp
-                for db_name in self.overhead_dbs:
-                    digest = hashlib.sha256(plan_digests[idx])
-                    digest.update(registry_fp.encode())
-                    digest.update(db_fps[db_name].encode())
-                    digest.update(knobs.encode())
-                    fps[db_name] = digest.hexdigest()[:16]
+                registry_fp = registry.fingerprint(types)
+                fps = {
+                    db_name: prediction_key(
+                        plan_digests[idx], registry_fp, db.fingerprint(), knobs
+                    )
+                    for db_name, db in self.overhead_dbs.items()
+                }
             reusable: dict[str, SweepRecord] = {}
             if previous is not None:
                 for db_name in self.overhead_dbs:
@@ -660,61 +643,14 @@ class SweepEngine:
         return self._evaluate(labeled_plans)
 
 
-def kernel_digest(kernel, kernel_cache: dict | None = None) -> bytes:
-    """Content digest of one kernel call (memoized via ``kernel_cache``).
+def _plan_digests(labeled_plans: Sequence[tuple[str, int, list]]) -> list:
+    """:func:`~repro.e2e.plan_digest` of every plan of a grid.
 
-    Covers type, display name and sorted parameters — everything the
-    performance models see.  ``hashlib``-based, so stable across
-    processes and hash seeds (unlike ``KernelCall.__hash__``, an
-    in-process key).  Shared by incremental sweeps and the prediction
-    service's request canonicalizer (:mod:`repro.service`).
+    One row memo spans the grid, so rows shared across batch sizes
+    (batch-independent ops) are digested once.
     """
-    if kernel_cache is None:
-        kernel_cache = {}
-    cached = kernel_cache.get(kernel)
-    if cached is None:
-        digest = hashlib.sha256()
-        digest.update(kernel.kernel_type.encode())
-        digest.update(kernel.name.encode())
-        for key in sorted(kernel.params):
-            digest.update(key.encode())
-            digest.update(repr(kernel.params[key]).encode())
-        cached = digest.digest()
-        kernel_cache[kernel] = cached
-    return cached
-
-
-def plan_digest(
-    plan: list,
-    row_cache: dict | None = None,
-    kernel_cache: dict | None = None,
-) -> bytes:
-    """Content digest of one traversal plan.
-
-    Row-memoized: batch-independent ops share their row tuples across
-    every batch size of the sweep, so their digests are computed once
-    for the whole grid.  The structural half of the prediction
-    service's request canonicalizer reuses this digest directly — two
-    graphs with identical traversal plans share it.
-    """
-    if row_cache is None:
-        row_cache = {}
-    if kernel_cache is None:
-        kernel_cache = {}
-    digest = hashlib.sha256()
-    for row in plan:
-        row_digest = row_cache.get(row)
-        if row_digest is None:
-            name, stream, kernels = row
-            h = hashlib.sha256()
-            h.update(name.encode())
-            h.update(str(stream).encode())
-            for kernel in kernels:
-                h.update(kernel_digest(kernel, kernel_cache))
-            row_digest = h.digest()
-            row_cache[row] = row_digest
-        digest.update(row_digest)
-    return digest.digest()
+    row_cache: dict = {}
+    return [plan_digest(plan, row_cache) for _, _, plan in labeled_plans]
 
 
 def sweep_batch_sizes(

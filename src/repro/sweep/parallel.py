@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 from typing import Sequence
 
 from repro.graph import ExecutionGraph
@@ -43,12 +44,16 @@ __all__ = ["default_workers", "parallel_sweep"]
 
 #: Pre-fork state inherited (copy-on-write) by every worker:
 #: ``(engine, labeled_plans, kernel_lists, bounds per GPU, cutoff_us,
-#: fingerprints, plan_digests, db_fps)``.  Never pickled.
+#: fingerprints, plan_digests)``.  Never pickled.
 _WORKER_STATE: dict | None = None
 
 
 def default_workers() -> int:
-    """Worker count used when the caller does not pick one (CPU count)."""
+    """Worker count used when the caller does not pick one: the CPUs
+    this process may run on (its affinity mask, where the platform
+    has one), not every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return multiprocessing.cpu_count()
 
 
@@ -89,7 +94,6 @@ def _evaluate_span(span: tuple[int, int]) -> tuple[dict, dict]:
             plan_digests=state["plan_digests"][start:stop]
             if state["plan_digests"] is not None
             else None,
-            db_fps=state["db_fps"],
         )
         records[gpu_name] = recs
         deltas[gpu_name] = registry.cache_info().since(before)
@@ -143,23 +147,12 @@ def parallel_sweep(
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.e2e import plan_kernels
-    from repro.sweep.engine import plan_digest
+    from repro.sweep.engine import _plan_digests
     from repro.sweep.prune import plan_lower_bounds_us
 
     kernel_lists = [plan_kernels(plan) for _, _, plan in labeled_plans]
     all_kernels = [k for ks in kernel_lists for k in ks]
-    plan_digests = None
-    db_fps = None
-    if fingerprints:
-        kernel_cache: dict = {}
-        row_cache: dict = {}
-        plan_digests = [
-            plan_digest(plan, row_cache, kernel_cache)
-            for _, _, plan in labeled_plans
-        ]
-        db_fps = {
-            name: db.fingerprint() for name, db in engine.overhead_dbs.items()
-        }
+    plan_digests = _plan_digests(labeled_plans) if fingerprints else None
 
     # Warm every registry cache in the parent; children inherit the
     # warm snapshot copy-on-write at fork time.
@@ -190,7 +183,6 @@ def parallel_sweep(
         "cutoff_us": cutoff_us,
         "fingerprints": fingerprints,
         "plan_digests": plan_digests,
-        "db_fps": db_fps,
     }
     # Freeze the parent heap across the fork: a child's first garbage
     # collection would otherwise touch every inherited object's header,

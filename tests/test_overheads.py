@@ -152,6 +152,33 @@ class TestDatabase:
         db = OverheadDatabase({"op": {T1: OverheadStats(1.0, 0.0, 5)}})
         assert db.mean_us("op", T2) == 5.0
 
+    def test_mutating_the_callers_dict_changes_nothing(self):
+        """The database copies its stats: a caller editing its dict
+        afterwards moves neither the means, the fallbacks nor the
+        (memoized) fingerprint, so all three keep agreeing."""
+        stats = {
+            "op_a": {T1: OverheadStats(2.0, 0.0, 3)},
+            "op_b": {T1: OverheadStats(10.0, 0.0, 1)},
+        }
+        db = OverheadDatabase(stats)
+        mean, fallback, fp = (
+            db.mean_us("op_a", T1), db.mean_us("unknown", T1), db.fingerprint()
+        )
+        stats["op_a"][T1] = OverheadStats(99.0, 0.0, 3)
+        stats["op_a"][T2] = OverheadStats(7.0, 0.0, 3)
+        del stats["op_b"]
+        stats["op_c"] = {T1: OverheadStats(50.0, 0.0, 9)}
+        assert db.mean_us("op_a", T1) == mean
+        assert db.mean_us("op_a", T2) == 5.0  # still the unobserved default
+        assert db.mean_us("unknown", T1) == fallback
+        assert db.fingerprint() == fp
+        assert db.fingerprint() == OverheadDatabase(
+            {
+                "op_a": {T1: OverheadStats(2.0, 0.0, 3)},
+                "op_b": {T1: OverheadStats(10.0, 0.0, 1)},
+            }
+        ).fingerprint()
+
 
 class TestModelSizeIndependence:
     """The paper's two working assumptions (Section III-C)."""

@@ -54,7 +54,7 @@ from repro.service import (
     request_key,
 )
 from repro.serving import BatchingPolicy
-from repro.sweep import kernel_digest
+from repro.e2e import kernel_digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -192,7 +192,7 @@ class TestCanonicalKeys:
         reversed_params = KernelCall(
             KernelType.GEMM, {"batch": 1, "k": 32, "n": 16, "m": 8}
         )
-        assert kernel_digest(forward, {}) == kernel_digest(reversed_params, {})
+        assert kernel_digest(forward) == kernel_digest(reversed_params)
 
     def test_unknown_kind_and_optimizer_rejected(self, dlrm_graph):
         with pytest.raises(ValueError, match="unknown request kind"):
@@ -393,6 +393,43 @@ class TestRegistryThreadSafety:
         # ...but its value must not have been cached over the new
         # model's: the next lookup recomputes via the new model.
         assert registry.predict_us(kernel) == new.base + new.slope * 32
+
+    def test_fingerprint_memo_survives_concurrent_swaps(self):
+        """Readers racing ``register`` never leave a memoized
+        fingerprint of a model that is no longer registered."""
+        registry = PerfModelRegistry()
+        registry.register(_AffineGemm(base=1.0))
+        models = [_AffineGemm(base=float(b)) for b in range(2, 42)]
+        selections = [(KernelType.GEMM,), None, (KernelType.GEMM, "unused")]
+        errors: list[BaseException] = []
+
+        def reader() -> None:
+            try:
+                for _ in range(400):
+                    for selection in selections:
+                        registry.fingerprint(selection)
+            except BaseException as err:  # surfaced by the assert below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for model in models:
+                registry.register(model)
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        fresh = PerfModelRegistry().register(models[-1])
+        for selection in selections:
+            assert registry.fingerprint(selection) == fresh.fingerprint(
+                selection
+            )
 
     def test_concurrent_cache_info_snapshots_are_consistent(self):
         registry = PerfModelRegistry()
@@ -647,6 +684,38 @@ class TestServiceInvalidation:
             )
             assert still_cached.cached is True
             assert still_cached.key == memory.key
+
+    @pytest.mark.parametrize("kind", [REQUEST_PREDICT, REQUEST_KERNEL_ONLY])
+    def test_model_swap_on_resident_registry_changes_the_key(
+        self, registry, overhead_db, kind
+    ):
+        """``PerfModelRegistry.register`` called directly on a resident
+        registry (not through ``register_registry``) must still move
+        the key: the registry owns its fingerprint memo, so the service
+        cannot answer from a memo entry priced with the old model."""
+        resident = PerfModelRegistry()
+        for kernel_type in registry.kernel_types:
+            resident.register(registry.model_for(kernel_type))
+        graph = build_model("DLRM_default", 256)
+        request = WhatIfRequest(graph=graph, kind=kind)
+        with PredictionService(
+            registries={"V100": resident},
+            overhead_dbs={"individual": overhead_db},
+        ) as service:
+            before = service.predict(request)
+            assert service.predict(request).cached
+            resident.register(_AffineGemm(base=500.0))
+            after = service.predict(request)
+        assert after.key != before.key
+        assert after.cached is False
+        if kind == REQUEST_PREDICT:
+            direct = predict_e2e(graph, resident, overhead_db)
+            assert after.prediction.to_dict() == direct.to_dict()
+            assert after.prediction.total_us != before.prediction.total_us
+        else:
+            direct_us = predict_kernel_only_us(graph, resident)
+            assert after.kernel_only_us == direct_us
+            assert after.kernel_only_us != before.kernel_only_us
 
     def test_unknown_labels_fail_the_future_with_known_labels_listed(
         self, registry, overhead_db, dlrm_graph

@@ -1,6 +1,7 @@
 """Scale features of the sweep engine: cache sizing, parallel fan-out,
 branch-and-bound pruning, and incremental re-sweeps."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -10,13 +11,15 @@ import numpy as np
 import pytest
 
 from repro.baselines import predict_kernel_only_us
-from repro.e2e import collect_plan, plan_kernels, predict_e2e
+from repro.e2e import collect_plan, plan_digest, plan_kernels, predict_e2e
+from repro.models import build_model
 from repro.multigpu.topology import Topology
 from repro.overheads import OverheadDatabase
 from repro.perfmodels import KernelPerfModel, PerfModelRegistry
 from repro.sweep import (
     SweepEngine,
     SweepResult,
+    default_workers,
     lower_bound_us,
     parallel_sweep,
     plan_lower_bounds_us,
@@ -191,6 +194,18 @@ class TestParallelSweep:
         assert time.monotonic() - start < 30
 
 
+class TestDefaultWorkers:
+    def test_counts_the_affinity_mask_not_every_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert default_workers() == 1
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 3)
+        assert default_workers() == 3
+
+
 class TestPruning:
     def test_lower_bound_is_admissible(
         self, dlrm_graph, registry, overhead_db
@@ -332,6 +347,29 @@ class TestIncrementalSweep:
         ).run_incremental(dlrm_graph, 512, BATCHES, first)
         assert second.reused == 0
         assert second.invalidated == len(first)
+
+
+class TestFingerprintBytesPinned:
+    """Sweep fingerprints are persisted (``SweepResult.save``) and
+    compared by later incremental re-sweeps, so their bytes may never
+    move: a changed digest would silently invalidate every saved grid."""
+
+    def test_plan_digest_bytes(self):
+        plan = collect_plan(build_model("DLRM_default", 64))
+        assert plan_digest(plan).hex() == (
+            "3d28ad176a94155ddac3356fcdb40407"
+            "d4189a0555799c047733bb8f261fc84f"
+        )
+
+    def test_record_fingerprint_bytes(self, registry, overhead_db, dlrm_graph):
+        result = SweepEngine(
+            registries={"V100": registry},
+            overhead_dbs={"indiv": overhead_db, "empty": OverheadDatabase({})},
+        ).run(dlrm_graph, 512, [256, 512, 1024], fingerprints=True)
+        assert [r.fingerprint for r in result] == [
+            "1ccc0db17f05ec6b", "0c787d93677a09f1", "a0ab640c169a1178",
+            "a2a54f8e4759624d", "34fb8f921d626cbb", "ac325d23f82a80fa",
+        ]
 
 
 class _Doubled(KernelPerfModel):
