@@ -11,7 +11,9 @@ from repro.e2e.predictor import (
     E2EPrediction,
     collect_plan,
     plan_kernels,
+    plan_structure,
     predict_e2e,
+    traverse_columns,
     traverse_plan,
 )
 from repro.e2e.prediction_key import kernel_digest, plan_digest, prediction_key
@@ -26,8 +28,10 @@ __all__ = [
     "max_batch_within_memory",
     "plan_digest",
     "plan_kernels",
+    "plan_structure",
     "predict_e2e",
     "predict_memory",
     "prediction_key",
+    "traverse_columns",
     "traverse_plan",
 ]

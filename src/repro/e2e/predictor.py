@@ -14,7 +14,12 @@ compute-bound-focused work would report as E2E.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, repeat
+
+import numpy as np
 
 from repro.graph import ExecutionGraph
 from repro.ops import KernelType
@@ -159,6 +164,29 @@ def plan_kernels(plan: list[PlanRow]) -> list:
     return [k for _, _, kernels in plan for k in kernels]
 
 
+def _syncs_host(kernel) -> bool:
+    """Whether ``kernel`` is a pageable H2D copy (``sync_h2d`` blocks on it)."""
+    return kernel.kernel_type == KernelType.MEMCPY and bool(
+        kernel.params.get("h2d")
+    )
+
+
+def plan_structure(plan: list[PlanRow], sync_h2d: bool = False) -> tuple:
+    """Everything the traversal reads from ``plan`` except kernel times.
+
+    The op names, streams and kernel counts of the rows and, when
+    ``sync_h2d`` is set (the only time the traversal reads them), each
+    kernel's H2D-copy flag.  Plans with equal structures can be
+    traversed together by :func:`traverse_columns`.
+    """
+    names, streams, kernels = zip(*plan) if plan else ((), (), ())
+    structure = (names, streams, tuple(map(len, kernels)))
+    if sync_h2d:
+        flags = tuple(map(_syncs_host, chain.from_iterable(kernels)))
+        structure += (flags,)
+    return structure
+
+
 def traverse_plan(
     plan: list[PlanRow],
     kernel_times,
@@ -169,9 +197,10 @@ def traverse_plan(
 ) -> E2EPrediction:
     """Algorithm 1's traversal over precomputed kernel times.
 
-    ``kernel_times`` must align with :func:`plan_kernels` order — the
-    sweep engine uses this entry point directly so one batched
-    prediction pass can serve many traversals.
+    ``kernel_times`` must align with :func:`plan_kernels` order, so one
+    batched prediction pass can serve many traversals.  The sweep
+    engine calls this for structure groups too small to pay for
+    :func:`traverse_columns`.
     """
     cpu_time = 0.0
     gpu_time: dict[int, float] = {}
@@ -197,11 +226,7 @@ def traverse_plan(
                 per_op[name] = per_op.get(name, 0.0) + t_kernel
                 num_kernels += 1
                 cpu_time += node_t4
-                if (
-                    sync_h2d
-                    and kernel.kernel_type == KernelType.MEMCPY
-                    and kernel.params.get("h2d")
-                ):
+                if sync_h2d and _syncs_host(kernel):
                     cpu_time = max(cpu_time, gpu_time[stream])
                 if ki < len(kernels) - 1:
                     cpu_time += overheads.mean_us(name, T5)
@@ -219,3 +244,112 @@ def traverse_plan(
         num_ops=len(plan),
         num_kernels=num_kernels,
     )
+
+
+def traverse_columns(
+    plan: list[PlanRow],
+    times: np.ndarray,
+    overheads: Sequence[OverheadDatabase],
+    t4_us: float | None = DEFAULT_T4_US,
+    kernel_gap_us: float = KERNEL_GAP_US,
+    sync_h2d: bool = False,
+) -> list[E2EPrediction]:
+    """:func:`traverse_plan` over ``n`` columns of one plan structure.
+
+    Column ``j`` is the traversal of a plan with ``plan``'s
+    :func:`plan_structure`, kernel times ``times[:, j]`` (``times`` has
+    shape ``[kernels, n]``, rows in :func:`plan_kernels` order) and
+    overheads ``overheads[j]``.  The clocks advance as float64 vectors
+    in :func:`traverse_plan`'s operand order; Algorithm 1 only adds,
+    halves and takes maxima, so every column is bit-identical to its
+    scalar traversal.  Overhead means are looked up once per row for
+    each distinct database.
+    """
+    n = len(overheads)
+    distinct = list({id(db): db for db in overheads}.values())
+    slot = {id(db): i for i, db in enumerate(distinct)}
+    columns = np.fromiter(
+        (slot[id(db)] for db in overheads), dtype=np.intp, count=n
+    )
+
+    def means(otype: str, names: list[str]):
+        """Per-column means of ``otype``, one vector per name."""
+        table = np.array(
+            [[db.mean_us(name, otype) for db in distinct] for name in names],
+            dtype=np.float64,
+        ).reshape(len(names), len(distinct))
+        return iter(table[:, columns])
+
+    launching = [name for name, _, kernels in plan if kernels]
+    t1 = means(T1, [name for name, _, _ in plan])
+    t2 = means(T2, launching)
+    t3 = means(T3, launching)
+    t4 = means(T4, launching) if t4_us is None else repeat(t4_us)
+    t5 = means(
+        T5, [name for name, _, kernels in plan if len(kernels) != 1]
+    )
+    kernel_rows = iter(np.asarray(times, dtype=np.float64))
+
+    cpu_time = np.zeros(n)
+    gpu_time: dict[int, np.ndarray] = {}
+    active = np.zeros(n)
+    per_op: dict[str, np.ndarray] = {}
+    num_kernels = 0
+    for name, stream, kernels in plan:
+        cpu_time += next(t1)
+        if not kernels:
+            cpu_time += next(t5)
+            continue
+        node_t4 = next(t4)
+        half_t4 = node_t4 / 2.0
+        cpu_time += next(t2)
+        clock = gpu_time.get(stream)
+        if clock is None:
+            clock = gpu_time[stream] = np.zeros(n)
+        op_active = per_op.get(name)
+        if op_active is None:
+            op_active = per_op[name] = np.zeros(n)
+        t5_row = next(t5) if len(kernels) > 1 else None
+        for ki, kernel in enumerate(kernels):
+            t_kernel = next(kernel_rows)
+            clock += kernel_gap_us
+            np.maximum(clock, cpu_time + half_t4, out=clock)
+            clock += t_kernel
+            active += t_kernel
+            op_active += t_kernel
+            num_kernels += 1
+            cpu_time += node_t4
+            if sync_h2d and _syncs_host(kernel):
+                np.maximum(cpu_time, clock, out=cpu_time)
+            if ki < len(kernels) - 1:
+                cpu_time += t5_row
+        cpu_time += next(t3)
+
+    gpu_max = (
+        reduce(np.maximum, gpu_time.values()) if gpu_time else np.zeros(n)
+    )
+    total = np.maximum(cpu_time, gpu_max)
+    names = list(per_op)
+    op_columns = (
+        zip(*(vector.tolist() for vector in per_op.values()))
+        if per_op
+        else repeat((), n)
+    )
+    return [
+        E2EPrediction(
+            total_us=total_us,
+            cpu_us=cpu_us,
+            gpu_us=gpu_us,
+            active_us=active_us,
+            per_op_active_us=dict(zip(names, op_values)),
+            num_ops=len(plan),
+            num_kernels=num_kernels,
+        )
+        for total_us, cpu_us, gpu_us, active_us, op_values in zip(
+            total.tolist(),
+            cpu_time.tolist(),
+            gpu_max.tolist(),
+            active.tolist(),
+            op_columns,
+        )
+    ]

@@ -6,18 +6,24 @@ closely related execution graphs.  The sweep engine runs the full grid
 through Algorithm 1 while sharing one prediction cache per registry
 across every point: the whole grid's kernel population is deduplicated
 and predicted in one vectorized batch per kernel type (see
-:meth:`PerfModelRegistry.predict_many`), then each point is a cheap
-cache-hit traversal.
+:meth:`PerfModelRegistry.predict_many`), then the walk reads each
+plan's kernel times back as cache hits.
 
 Per-point work is kept lean on purpose: instead of rebuilding a full
 :class:`ExecutionGraph` per batch size (tensor table remap, node
 revalidation), each point only rescales the *ops* and reuses the
-predictor's plan/traversal split (:func:`repro.e2e.traverse_plan`).
-Ops whose shapes are batch-independent (optimizer steps, weight-grad
-accumulation) return themselves from ``rescale_batch``, so their cached
-kernel tuples are shared across every point of the sweep.  Results are
-bit-identical to ``predict_e2e(rescale_batch(graph, ...), ...)`` — a
-test enforces it.
+predictor's plan/traversal split.  Ops whose shapes are
+batch-independent (optimizer steps, weight-grad accumulation) return
+themselves from ``rescale_batch``, so their cached kernel tuples are
+shared across every point of the sweep.
+
+The walk runs Algorithm 1 once per *structure group*: points whose
+plans share a :func:`repro.e2e.plan_structure` are traversed together,
+one column per point, by :func:`repro.e2e.traverse_columns`.  Groups
+with fewer than ``_MIN_COLUMNS`` points take one
+:func:`repro.e2e.traverse_plan` per point instead, which is cheaper
+there and gives the same bits.  Results are bit-identical to
+``predict_e2e(rescale_batch(graph, ...), ...)`` — a test enforces it.
 
 A *transform* axis value is any ``ExecutionGraph -> ExecutionGraph``
 callable (identity, :func:`fuse_embedding_bags`, a reorder, ...); the
@@ -53,7 +59,9 @@ from repro.e2e import (
     collect_plan,
     plan_digest,
     plan_kernels,
+    plan_structure,
     prediction_key,
+    traverse_columns,
     traverse_plan,
 )
 from repro.graph import ExecutionGraph
@@ -75,6 +83,11 @@ from repro.sweep.result import (
 
 #: The identity transform (the "no rewrite" axis value).
 IDENTITY_TRANSFORM = "none"
+
+#: Structure groups with fewer columns than this are traversed point
+#: by point: below it, the column pass's fixed per-kernel numpy cost
+#: exceeds the scalar loop's per-point cost.
+_MIN_COLUMNS = 8
 
 GraphTransform = Callable[[ExecutionGraph], ExecutionGraph]
 
@@ -126,18 +139,6 @@ class SweepEngine:
         self.kernel_gap_us = kernel_gap_us
         self.sync_h2d = sync_h2d
         self.auto_size_cache = auto_size_cache
-
-    def _traverse(
-        self, plan, kernel_times, overheads: OverheadDatabase
-    ) -> E2EPrediction:
-        return traverse_plan(
-            plan,
-            kernel_times,
-            overheads,
-            t4_us=self.t4_us,
-            kernel_gap_us=self.kernel_gap_us,
-            sync_h2d=self.sync_h2d,
-        )
 
     def _precompute(
         self,
@@ -259,21 +260,29 @@ class SweepEngine:
         previous: Mapping[SweepPoint, SweepRecord] | None = None,
         plan_digests: Sequence[bytes] | None = None,
     ) -> tuple[list[SweepRecord], list[SweepPoint], int]:
-        """Walk one registry's share of the grid (cache-hit traversals).
+        """Walk one registry's share of the grid.
 
         The per-(registry, plan span) unit of work both the serial walk
         and the parallel fan-out execute — keeping them byte-identical
         by construction.  Assumes the registry cache was already warmed
-        by :meth:`_precompute` (in this process or a forked parent).
+        by :meth:`_precompute` (in this process or a forked parent), so
+        each plan's kernel times are cache hits.  The points left to
+        traverse (neither reused nor pruned) are grouped by
+        :func:`~repro.e2e.plan_structure` and each group is traversed
+        in one pass (:meth:`_traverse_group`); the records then fill
+        the slots they hold in grid order.
 
         Returns:
             ``(records, pruned points, reused count)`` for this span,
             in deterministic grid order.
         """
-        records: list[SweepRecord] = []
+        records: list[SweepRecord | None] = []
         pruned: list[SweepPoint] = []
         reused = 0
         knobs = (self.t4_us, self.kernel_gap_us, self.sync_h2d)
+        # Structure -> points to traverse: (record slot, plan, kernel
+        # times, overhead DB, point, fingerprint).
+        groups: dict[tuple, list[tuple]] = {}
         for idx, (label, batch, plan) in enumerate(labeled_plans):
             kernels = kernel_lists[idx]
             fps: dict[str, str] = {}
@@ -320,20 +329,46 @@ class SweepEngine:
                         )
                 continue
             times = registry.predict_many(kernels)
+            group = groups.setdefault(plan_structure(plan, self.sync_h2d), [])
             for db_name, db in self.overhead_dbs.items():
                 rec = reusable.get(db_name)
                 if rec is not None:
                     records.append(rec)
                     reused += 1
                     continue
-                records.append(
-                    SweepRecord(
-                        SweepPoint(label, batch, gpu_name, db_name),
-                        self._traverse(plan, times, db),
-                        fps.get(db_name, ""),
-                    )
+                point = SweepPoint(label, batch, gpu_name, db_name)
+                group.append(
+                    (len(records), plan, times, db, point, fps.get(db_name, ""))
                 )
+                records.append(None)
+        for group in groups.values():
+            slots, plans, times, dbs, points, fps = zip(*group)
+            for slot, point, prediction, fp in zip(
+                slots, points, self._traverse_group(plans, times, dbs), fps
+            ):
+                records[slot] = SweepRecord(point, prediction, fp)
         return records, pruned, reused
+
+    def _traverse_group(
+        self, plans: Sequence[list], times: Sequence, dbs: Sequence
+    ) -> list[E2EPrediction]:
+        """Algorithm 1 over the points of one structure group.
+
+        One :func:`~repro.e2e.traverse_columns` pass, or one
+        :func:`~repro.e2e.traverse_plan` per point for groups smaller
+        than :data:`_MIN_COLUMNS`; both give the same bits.
+        """
+        knobs = dict(
+            t4_us=self.t4_us,
+            kernel_gap_us=self.kernel_gap_us,
+            sync_h2d=self.sync_h2d,
+        )
+        if len(plans) < _MIN_COLUMNS:
+            return [
+                traverse_plan(plan, plan_times, db, **knobs)
+                for plan, plan_times, db in zip(plans, times, dbs)
+            ]
+        return traverse_columns(plans[0], np.stack(times, axis=1), dbs, **knobs)
 
     def _prepare(
         self,
